@@ -17,10 +17,10 @@ from repro import (
     abstract_protocol,
     compose,
     exhibits,
-    find_trace,
     narrate,
     narration_configuration,
     output_barb,
+    search,
     securely_implements,
     standard_attackers,
     wide_mouthed_frog,
@@ -37,11 +37,11 @@ def main() -> None:
 
     # -- honest run ------------------------------------------------------
     system = compose(cfg)
-    trace = find_trace(
+    trace = search(
         system,
         lambda s: exhibits(s, output_barb(Name("observe"))),
         Budget(max_states=4000, max_depth=30),
-    )
+    ).trace
     print("Honest run:")
     for line in narrate(system, trace):
         print(" ", line)

@@ -19,12 +19,12 @@ from repro import (
     compose,
     exhibits,
     explore,
-    find_trace,
     keeps_secret,
     impersonator,
     narrate,
     narration_configuration,
     output_barb,
+    search,
     statistics,
 )
 from repro.analysis.intruder import eavesdropper
@@ -41,9 +41,9 @@ def analyze(name: str) -> None:
     cfg = narration_configuration(spec, observed_role="B", observed_datum="PAYLOAD")
 
     system = compose(cfg)
-    trace = find_trace(
+    trace = search(
         system, lambda s: exhibits(s, output_barb(Name("observe"))), BUDGET
-    )
+    ).trace
     print("\nhonest run:")
     for line in narrate(system, trace):
         print(" ", line)

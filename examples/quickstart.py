@@ -19,9 +19,9 @@ from repro import (
     compose,
     crypto_protocol,
     exhibits,
-    find_trace,
     narrate,
     output_barb,
+    search,
     securely_implements,
     standard_attackers,
 )
@@ -44,9 +44,9 @@ def main() -> None:
 
     # -- 2. an honest run of P2 ----------------------------------------
     system = compose(impl)
-    done = find_trace(
+    done = search(
         system, lambda s: exhibits(s, output_barb(Name("observe")))
-    )
+    ).trace
     print("Honest run of P2 (A sends {M}KAB, B decrypts and republishes):")
     for line in narrate(system, done):
         print(" ", line)

@@ -21,13 +21,13 @@ from repro import (
     bidirectional_pm3,
     compose,
     exhibits,
-    find_trace,
     narrate,
     origin_tester,
     output_barb,
     part_locations,
     passes,
     reflecting_attacker,
+    search,
 )
 
 C = Name("c")
@@ -52,9 +52,9 @@ def main() -> None:
 
         if passed and role == "B-init":
             system = compose(cfg, test.tester)
-            trace = find_trace(
+            trace = search(
                 system, lambda s: exhibits(s, test.barb), BUDGET
-            )
+            ).trace
             print("\n  The reflection, step by step:")
             for line in narrate(system, trace):
                 print("   ", line)

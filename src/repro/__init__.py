@@ -210,7 +210,6 @@ from repro.semantics.lts import (
     Graph,
     ReachResult,
     explore,
-    find_trace,
     narrate,
     reachable,
     resume_exploration,
@@ -242,7 +241,7 @@ __all__ = [
     # semantics
     "System", "instantiate", "build_system", "successors", "Budget",
     "Graph", "explore", "reachable", "search", "ReachResult",
-    "resume_exploration", "find_trace", "narrate",
+    "resume_exploration", "narrate",
     "statistics", "to_dot", "to_networkx", "GraphStatistics",
     "Barb", "Comm", "Transition", "input_barb", "output_barb",
     # runtime

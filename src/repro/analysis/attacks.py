@@ -31,8 +31,8 @@ from repro.equivalence.testing import (
 )
 from repro.runtime.deadline import RunControl
 from repro.runtime.exhaustion import Exhaustion
-from repro.semantics.actions import output_barb
-from repro.semantics.lts import Budget, DEFAULT_BUDGET, find_trace, narrate
+from repro.semantics.actions import Transition, output_barb
+from repro.semantics.lts import Budget, DEFAULT_BUDGET, narrate
 
 if TYPE_CHECKING:
     from repro.analysis.witness import Witness
@@ -190,18 +190,14 @@ class ImplementationVerdict:
 
 
 def _narrate_attack(
-    config: Configuration, test: Test, budget: Budget
-) -> tuple[tuple[str, ...], Optional["Witness"]]:
-    """Reconstruct the shortest run of ``config | tester`` that makes the
-    test succeed: the role-named narration plus the machine-checkable
-    witness built from the same trace."""
+    config: Configuration, test: Test, trace: list[Transition]
+) -> tuple[tuple[str, ...], "Witness"]:
+    """The distinguishing run of ``config | tester`` — the trace the
+    passing test search found — as the role-named narration plus the
+    machine-checkable witness."""
     from repro.analysis.witness import attack_witness
-    from repro.equivalence.barbs import exhibits
 
     system = compose(config, test.tester)
-    trace = find_trace(system, lambda s: exhibits(s, test.barb), budget)
-    if trace is None:
-        return ("(run reconstruction exceeded the budget)",), None
     witness = attack_witness(system, trace, test.name, test.barb.channel.base)
     return tuple(narrate(system, trace)), witness
 
@@ -257,7 +253,7 @@ def securely_implements(
             exhaustions.append(spec_result.exhaustion)
             if spec_result.found:
                 continue
-            narration, witness = _narrate_attack(impl_x, test, budget)
+            narration, witness = _narrate_attack(impl_x, test, impl_result.trace)
             attack = Attack(
                 attacker_name=attacker_name,
                 attacker=attacker,

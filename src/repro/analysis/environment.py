@@ -25,12 +25,12 @@ origin-sensitive properties then detect.
 
 from __future__ import annotations
 
-import time
-from collections import deque
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from repro.analysis.knowledge import Knowledge, synthesizable
+from repro.analysis.properties import authentication_violation, freshness_violation
 from repro.obs.metrics import current_metrics
 from repro.obs.trace import trace_span
 from repro.core.addresses import Location, is_prefix
@@ -40,17 +40,10 @@ from repro.core.substitution import instantiate_locvar, subst
 from repro.core.terms import Name, Term, localize
 from repro.equivalence.testing import Configuration, compose
 from repro.runtime.deadline import RunControl, resolve_control
-from repro.runtime.exhaustion import (
-    CANCELLED,
-    DEPTH,
-    FAULT,
-    STATES,
-    Exhaustion,
-)
-from repro.runtime.faults import FaultError
-from repro.semantics import canonical, reduction
+from repro.runtime.exhaustion import Exhaustion
+from repro.semantics import reduction
 from repro.semantics.actions import Comm, PendingAction, Transition
-from repro.semantics.lts import Budget, DEFAULT_BUDGET
+from repro.semantics.lts import Budget, DEFAULT_BUDGET, Graph, _bfs
 from repro.semantics.normalize import normalize
 from repro.semantics.system import System
 from repro.semantics.transitions import _admits, pending_actions
@@ -229,24 +222,6 @@ def env_initial(
     return EnvState(system, knowledge), env_loc, channels
 
 
-@dataclass
-class EnvGraph:
-    """Explored fragment of the environment-sensitive state space."""
-
-    initial: tuple
-    states: dict[tuple, EnvState] = field(default_factory=dict)
-    edges: dict[tuple, list[tuple[EnvStep, tuple]]] = field(default_factory=dict)
-    exhaustion: Optional[Exhaustion] = None
-
-    @property
-    def truncated(self) -> bool:
-        """Backward-compatible boolean view of :attr:`exhaustion`."""
-        return self.exhaustion is not None
-
-    def state_count(self) -> int:
-        return len(self.states)
-
-
 def env_explore(
     config: Configuration,
     env_role: str = "E",
@@ -254,7 +229,7 @@ def env_explore(
     synth_depth: int = 1,
     budget: Budget = DEFAULT_BUDGET,
     control: Optional[RunControl] = None,
-) -> EnvGraph:
+) -> Graph:
     """Explore a configuration against the most-general attacker.
 
     The configuration must contain a part for ``env_role`` (use
@@ -262,103 +237,39 @@ def env_explore(
     the tree).  ``initial_knowledge`` seeds the attacker (free protocol
     channels are always known).
 
-    Like :func:`repro.semantics.lts.explore` this is cooperative: a
+    This runs the exploration kernel of :mod:`repro.semantics.lts`, so
+    it is cooperative like :func:`~repro.semantics.lts.explore`: a
     deadline or cancellation (explicit ``control`` or the ambient
     :func:`~repro.runtime.deadline.governed` one) stops the exploration
     between state expansions, and injected faults skip the failing state
-    — both leave a partial graph with a structured :attr:`EnvGraph.exhaustion`.
+    — both leave a partial graph with a structured ``exhaustion``.
+
+    The graph's keys are :meth:`EnvState.key` pairs, its states
+    :class:`EnvState` values, and its edges and parent pointers carry
+    :class:`EnvStep` records.
     """
-    ctl = resolve_control(control)
     initial, env_loc, channels = env_initial(config, env_role, initial_knowledge)
 
-    graph = EnvGraph(initial=initial.key())
-    graph.states[initial.key()] = initial
-    queue: deque[tuple[EnvState, int]] = deque([(initial, 0)])
-    reasons: list[str] = []
-    detail: Optional[str] = None
-    kinds = {"tau": 0, "hear": 0, "say": 0}
-    dedup_hits = 0
-    max_queue = 0
-    started = time.monotonic()
-    cache_before = canonical.metrics_snapshot()
-    reduction_before = reduction.metrics_snapshot()
-
-    def tau_visited(step: Transition, knowledge=None) -> bool:
-        return (step.target.canonical_key(), knowledge) in graph.states
-
-    def note(reason: str, message: Optional[str] = None) -> None:
-        nonlocal detail
-        if reason not in reasons:
-            reasons.append(reason)
-        if message and detail is None:
-            detail = message
-
-    deepest = 0
-    try:
-        with trace_span("env.explore", max_states=budget.max_states,
-                        max_depth=budget.max_depth):
-            while queue:
-                if len(queue) > max_queue:
-                    max_queue = len(queue)
-                stop = ctl.interruption()
-                if stop is not None:
-                    note(stop)
-                    break
-                state, depth = queue.popleft()
-                key = state.key()
-                deepest = max(deepest, depth)
-                if depth >= budget.max_depth:
-                    note(DEPTH)
-                    continue
-                out: list[tuple[EnvStep, tuple]] = []
-                try:
-                    steps = env_successors(
-                        state,
-                        env_loc,
-                        channels,
-                        synth_depth,
-                        tau_visited=lambda step, k=state.knowledge.atoms: tau_visited(
-                            step, k
-                        ),
-                    )
-                    for step in steps:
-                        target_key = step.target.key()
-                        if target_key not in graph.states:
-                            if len(graph.states) >= budget.max_states:
-                                note(STATES)
-                                continue
-                            graph.states[target_key] = step.target
-                            queue.append((step.target, depth + 1))
-                        else:
-                            dedup_hits += 1
-                        kinds[step.kind] += 1
-                        out.append((step, target_key))
-                except FaultError as exc:
-                    note(FAULT, str(exc))
-                    continue
-                graph.edges[key] = out
-    except KeyboardInterrupt:
-        note(CANCELLED, "keyboard interrupt")
-    if reasons:
-        graph.exhaustion = Exhaustion(
-            tuple(reasons),
-            states=len(graph.states),
-            depth=deepest,
-            detail=detail,
+    def expand(state: EnvState, visited) -> Iterator[EnvStep]:
+        atoms = state.knowledge.atoms
+        return env_successors(
+            state,
+            env_loc,
+            channels,
+            synth_depth,
+            tau_visited=lambda step: visited((step.target.canonical_key(), atoms)),
         )
+
+    graph = Graph(initial=initial.key())
+    with trace_span("env.explore", max_states=budget.max_states,
+                    max_depth=budget.max_depth):
+        _bfs(graph, expand, EnvState.key, budget, resolve_control(control),
+             initial=initial, family="env")
     metrics = current_metrics()
     if metrics is not None:
-        metrics.inc("env.runs")
-        metrics.inc("env.states", len(graph.states))
-        metrics.inc("env.transitions", sum(kinds.values()))
-        metrics.inc("env.tau", kinds["tau"])
-        metrics.inc("env.hear", kinds["hear"])
-        metrics.inc("env.say", kinds["say"])
-        metrics.inc("env.dedup_hits", dedup_hits)
-        metrics.set_gauge("env.queue_depth", max_queue)
-        metrics.observe("env.seconds", time.monotonic() - started)
-        canonical.publish_cache_metrics(metrics, cache_before)
-        reduction.publish_reduction_metrics(metrics, reduction_before)
+        kinds = Counter(step.kind for out in graph.edges.values() for step, _ in out)
+        for kind in ("tau", "hear", "say"):
+            metrics.inc(f"env.{kind}", kinds[kind])
     return graph
 
 
@@ -390,6 +301,32 @@ class EnvVerdict:
         return f"VIOLATED: {self.violation}"
 
 
+def _holds(graph: Graph) -> EnvVerdict:
+    return EnvVerdict(
+        holds=True,
+        exhaustive=not graph.truncated,
+        states=graph.state_count(),
+        exhaustion=graph.exhaustion,
+    )
+
+
+def _violated(
+    graph: Graph, key: tuple, violation: str, kind: str, prop: dict
+) -> EnvVerdict:
+    """The verdict for the first violating state ``key``; its witness is
+    the path back to that state through the exploration tree."""
+    from repro.analysis.witness import graph_witness
+
+    return EnvVerdict(
+        holds=False,
+        exhaustive=not graph.truncated,
+        states=graph.state_count(),
+        violation=violation,
+        exhaustion=graph.exhaustion,
+        witness=graph_witness(graph, key, kind, prop),
+    )
+
+
 def env_secrecy(
     config: Configuration,
     secret_base: str,
@@ -402,40 +339,15 @@ def env_secrecy(
     graph = env_explore(
         config, env_role, synth_depth=synth_depth, budget=budget, control=control
     )
-    for state in graph.states.values():
+    prop = {"secret": secret_base, "env": env_role, "synth_depth": synth_depth}
+    for key, state in graph.states.items():
         for name in state.system.private:
             if name.base == secret_base and state.knowledge.can_derive(name):
-                from repro.analysis.witness import env_witness
-
-                return EnvVerdict(
-                    holds=False,
-                    exhaustive=not graph.truncated,
-                    states=graph.state_count(),
-                    violation=f"the attacker derives {name.render()}",
-                    exhaustion=graph.exhaustion,
-                    witness=env_witness(
-                        config,
-                        kind="env-secrecy",
-                        goal=lambda st: any(
-                            n.base == secret_base and st.knowledge.can_derive(n)
-                            for n in st.system.private
-                        ),
-                        prop={
-                            "secret": secret_base,
-                            "env": env_role,
-                            "synth_depth": synth_depth,
-                        },
-                        env_role=env_role,
-                        synth_depth=synth_depth,
-                        budget=budget,
-                    ),
+                return _violated(
+                    graph, key, f"the attacker derives {name.render()}",
+                    "env-secrecy", prop,
                 )
-    return EnvVerdict(
-        holds=True,
-        exhaustive=not graph.truncated,
-        states=graph.state_count(),
-        exhaustion=graph.exhaustion,
-    )
+    return _holds(graph)
 
 
 def env_freshness(
@@ -448,57 +360,21 @@ def env_freshness(
 ) -> EnvVerdict:
     """Can the most-general attacker make two continuation instances
     accept data from the same creator (a replay), in any single run?"""
-    from repro.core.terms import origin
-
     graph = env_explore(
         config, env_role, synth_depth=synth_depth, budget=budget, control=control
     )
-    for state in graph.states.values():
-        per_creator: dict[Location, Location] = {}
-        for act in pending_actions(state.system):
-            if not act.is_output or act.channel_subject.base != observe:
-                continue
-            try:
-                value = localize(act.payload, act.act_loc)
-            except TermError:
-                continue
-            creator = origin(value)
-            if creator is None:
-                continue
-            previous = per_creator.get(creator)
-            if previous is not None and previous != act.act_loc:
-                from repro.analysis.witness import env_witness, freshness_violation
-
-                return EnvVerdict(
-                    holds=False,
-                    exhaustive=not graph.truncated,
-                    states=graph.state_count(),
-                    violation=(
-                        "two continuation instances accepted data from one "
-                        "creator in a single run"
-                    ),
-                    exhaustion=graph.exhaustion,
-                    witness=env_witness(
-                        config,
-                        kind="env-freshness",
-                        goal=lambda st: freshness_violation(st.system, observe),
-                        prop={
-                            "observe": observe,
-                            "env": env_role,
-                            "synth_depth": synth_depth,
-                        },
-                        env_role=env_role,
-                        synth_depth=synth_depth,
-                        budget=budget,
-                    ),
-                )
-            per_creator[creator] = act.act_loc
-    return EnvVerdict(
-        holds=True,
-        exhaustive=not graph.truncated,
-        states=graph.state_count(),
-        exhaustion=graph.exhaustion,
-    )
+    prop = {"observe": observe, "env": env_role, "synth_depth": synth_depth}
+    for key, state in graph.states.items():
+        if freshness_violation(state.system, observe):
+            return _violated(
+                graph,
+                key,
+                "two continuation instances accepted data from one creator "
+                "in a single run",
+                "env-freshness",
+                prop,
+            )
+    return _holds(graph)
 
 
 def env_authentication(
@@ -512,58 +388,27 @@ def env_authentication(
 ) -> EnvVerdict:
     """Does every activated continuation hold a datum created by
     ``sender_role``, whatever the most-general attacker does?"""
-    from repro.core.terms import origin
+    from repro.syntax.pretty import render_term
 
     graph = env_explore(
         config, env_role, synth_depth=synth_depth, budget=budget, control=control
     )
-    sample = next(iter(graph.states.values()))
-    sender_loc = sample.system.location_of(sender_role)
-    for state in graph.states.values():
-        for act in pending_actions(state.system):
-            if not act.is_output or act.channel_subject.base != observe:
-                continue
-            try:
-                value = localize(act.payload, act.act_loc)
-            except TermError:
-                continue
-            creator = origin(value)
-            if creator is None or not is_prefix(sender_loc, creator):
-                from repro.analysis.witness import (
-                    authentication_violation,
-                    env_witness,
-                )
-                from repro.syntax.pretty import render_term
-
-                return EnvVerdict(
-                    holds=False,
-                    exhaustive=not graph.truncated,
-                    states=graph.state_count(),
-                    violation=(
-                        f"a continuation accepted {render_term(value)} "
-                        f"not created by {sender_role}"
-                    ),
-                    exhaustion=graph.exhaustion,
-                    witness=env_witness(
-                        config,
-                        kind="env-authentication",
-                        goal=lambda st: authentication_violation(
-                            st.system, sender_loc, observe
-                        ),
-                        prop={
-                            "sender": sender_role,
-                            "observe": observe,
-                            "env": env_role,
-                            "synth_depth": synth_depth,
-                        },
-                        env_role=env_role,
-                        synth_depth=synth_depth,
-                        budget=budget,
-                    ),
-                )
-    return EnvVerdict(
-        holds=True,
-        exhaustive=not graph.truncated,
-        states=graph.state_count(),
-        exhaustion=graph.exhaustion,
-    )
+    prop = {
+        "sender": sender_role,
+        "observe": observe,
+        "env": env_role,
+        "synth_depth": synth_depth,
+    }
+    sender_loc = graph.states[graph.initial].system.location_of(sender_role)
+    for key, state in graph.states.items():
+        value = authentication_violation(state.system, sender_loc, observe)
+        if value is not None:
+            return _violated(
+                graph,
+                key,
+                f"a continuation accepted {render_term(value)} "
+                f"not created by {sender_role}",
+                "env-authentication",
+                prop,
+            )
+    return _holds(graph)

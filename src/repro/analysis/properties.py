@@ -22,14 +22,17 @@ its origin intact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.core.addresses import Location, RelativeAddress, is_prefix
-from repro.core.terms import Name, origin
+from repro.core.errors import TermError
+from repro.core.terms import Name, Term, localize, origin
 from repro.equivalence.testing import Configuration, compose
 from repro.runtime.deadline import RunControl
 from repro.runtime.exhaustion import Exhaustion
-from repro.semantics.lts import Budget, DEFAULT_BUDGET, explore
+from repro.semantics.lts import Budget, DEFAULT_BUDGET, Graph, explore
+from repro.semantics.system import System
+from repro.semantics.transitions import pending_actions
 
 if TYPE_CHECKING:
     from repro.analysis.witness import Witness
@@ -81,48 +84,71 @@ class PropertyVerdict:
         return f"VIOLATED: {self.violation}"
 
 
-def _collect_activations(
-    config: Configuration,
-    observe: Name,
-    budget: Budget,
-    control: Optional[RunControl] = None,
-) -> tuple[list[Activation], Optional[Exhaustion]]:
-    """Every distinct continuation activation in the reachable space.
+def _observations(state: System, observe_base: str) -> Iterator[tuple[Location, Term]]:
+    """``(receiver, datum)`` for each activated continuation of ``state``:
+    the pending outputs on the observation channel, payload localized."""
+    for action in pending_actions(state):
+        if not action.is_output or action.channel_subject.base != observe_base:
+            continue
+        try:
+            value = localize(action.payload, action.act_loc)
+        except TermError:
+            continue
+        yield action.act_loc, value
+
+
+def authentication_violation(
+    state: System, sender_loc: Location, observe_base: str
+) -> Optional[Term]:
+    """The datum an activated continuation of ``state`` holds that the
+    authenticated sender did not create, or ``None``."""
+    for _, value in _observations(state, observe_base):
+        creator = origin(value)
+        if creator is None or not is_prefix(sender_loc, creator):
+            return value
+    return None
+
+
+def freshness_violation(state: System, observe_base: str) -> bool:
+    """Does ``state`` hold two co-existing activations with one creator
+    — the single-run signature of a replay?"""
+    per_creator: dict[Location, Location] = {}
+    for receiver, value in _observations(state, observe_base):
+        creator = origin(value)
+        if creator is None:
+            continue
+        previous = per_creator.get(creator)
+        if previous is not None and previous != receiver:
+            return True
+        per_creator[creator] = receiver
+    return False
+
+
+def _collect_activations(graph: Graph, observe: Name) -> list[Activation]:
+    """Every distinct continuation activation in the explored space.
 
     An activation is a *pending* output on the observation channel: the
     continuation ``B0(z) = observe<z>`` offers the accepted datum as
     soon as it runs, whether or not anything consumes it.
     """
-    from repro.core.errors import TermError
-    from repro.core.terms import localize
-    from repro.semantics.transitions import pending_actions
-
-    system = compose(config)
-    graph = explore(system, budget, control)
     activations: list[Activation] = []
     seen: set[tuple] = set()
     for state in graph.states.values():
-        for action in pending_actions(state):
-            if not action.is_output or action.channel_subject.base != observe.base:
-                continue
-            try:
-                value = localize(action.payload, action.act_loc)
-            except TermError:
-                continue
+        for receiver, value in _observations(state, observe.base):
             creator = origin(value)
-            fingerprint = (action.act_loc, creator)
+            fingerprint = (receiver, creator)
             if fingerprint in seen:
                 continue
             seen.add(fingerprint)
             address = (
                 None
                 if creator is None
-                else RelativeAddress.between(observer=action.act_loc, target=creator)
+                else RelativeAddress.between(observer=receiver, target=creator)
             )
             activations.append(
-                Activation(receiver=action.act_loc, creator=creator, address=address)
+                Activation(receiver=receiver, creator=creator, address=address)
             )
-    return activations, graph.exhaustion
+    return activations
 
 
 def authentication(
@@ -136,29 +162,40 @@ def authentication(
 
     Every activated continuation must have accepted a datum whose
     creator is an instance of ``sender_role`` (by location prefix).
+    A violation's witness is the path to the first violating state of
+    the exploration.
     """
     system = compose(config)
     sender_loc = system.location_of(sender_role)
-    activations, exhaustion = _collect_activations(config, observe, budget, control)
+    graph = explore(system, budget, control)
+    activations = _collect_activations(graph, observe)
     for activation in activations:
         if activation.creator is None or not is_prefix(sender_loc, activation.creator):
-            from repro.analysis.witness import authentication_witness
+            from repro.analysis.witness import graph_witness
 
+            key = next(
+                key
+                for key, state in graph.states.items()
+                if authentication_violation(state, sender_loc, observe.base) is not None
+            )
             return PropertyVerdict(
                 holds=False,
-                exhaustive=exhaustion is None,
+                exhaustive=not graph.truncated,
                 activations=len(activations),
                 violation=activation.describe(),
-                exhaustion=exhaustion,
-                witness=authentication_witness(
-                    system, sender_role, observe.base, budget
+                exhaustion=graph.exhaustion,
+                witness=graph_witness(
+                    graph,
+                    key,
+                    "authentication",
+                    {"sender": sender_role, "observe": observe.base},
                 ),
             )
     return PropertyVerdict(
         holds=True,
-        exhaustive=exhaustion is None,
+        exhaustive=not graph.truncated,
         activations=len(activations),
-        exhaustion=exhaustion,
+        exhaustion=graph.exhaustion,
     )
 
 
@@ -179,31 +216,22 @@ def freshness(
     partners in different branches.  A replay, by contrast, leaves two
     co-existing activations in a *single* reachable state — which is how
     the paper's attack on Pm2 manifests (two B-instances simultaneously
-    holding one ``{M}KAB``).
+    holding one ``{M}KAB``).  A violation's witness is the path to that
+    state in the exploration.
     """
-    from repro.core.errors import TermError
-    from repro.core.terms import localize
-    from repro.semantics.transitions import pending_actions
-
     system = compose(config)
     graph = explore(system, budget, control)
     total = 0
-    for state in graph.states.values():
+    for key, state in graph.states.items():
         per_creator: dict[Location, Location] = {}
-        for action in pending_actions(state):
-            if not action.is_output or action.channel_subject.base != observe.base:
-                continue
-            try:
-                value = localize(action.payload, action.act_loc)
-            except TermError:
-                continue
+        for receiver, value in _observations(state, observe.base):
             creator = origin(value)
             if creator is None:
                 continue
             total += 1
             previous = per_creator.get(creator)
-            if previous is not None and previous != action.act_loc:
-                from repro.analysis.witness import freshness_witness
+            if previous is not None and previous != receiver:
+                from repro.analysis.witness import graph_witness
                 from repro.core.addresses import location_str
 
                 return PropertyVerdict(
@@ -212,13 +240,15 @@ def freshness(
                     activations=total,
                     violation=(
                         f"receivers {location_str(previous)} and "
-                        f"{location_str(action.act_loc)} both accepted a datum "
+                        f"{location_str(receiver)} both accepted a datum "
                         f"created at {location_str(creator)} in one run"
                     ),
                     exhaustion=graph.exhaustion,
-                    witness=freshness_witness(system, observe.base, budget),
+                    witness=graph_witness(
+                        graph, key, "freshness", {"observe": observe.base}
+                    ),
                 )
-            per_creator[creator] = action.act_loc
+            per_creator[creator] = receiver
     return PropertyVerdict(
         holds=True,
         exhaustive=not graph.truncated,

@@ -113,12 +113,15 @@ def keeps_secret(
             if isinstance(secret, str):
                 # Union-knowledge over all branches is an over-
                 # approximation of any single run; the witness builder
-                # re-searches for one concrete leaking path and may
-                # come up empty within the budget (witness stays None
-                # and --certify degrades the verdict to a fault).
+                # searches for one concrete leaking path and may come
+                # up empty within the budget or the job's deadline
+                # (witness stays None and --certify degrades the
+                # verdict to a fault).
                 from repro.analysis.witness import secrecy_witness
 
-                witness = secrecy_witness(system, spy_loc, secret, spy, budget)
+                witness = secrecy_witness(
+                    system, spy_loc, secret, spy, budget, control
+                )
             return SecrecyVerdict(
                 holds=False,
                 exhaustive=not graph.truncated,

@@ -24,21 +24,28 @@ Design constraints:
   *unsealed* witness (``system`` recipe ``None``, no checksum).  The
   caller that owns the construction (the worker, the CLI) seals it with
   a recipe via :meth:`Witness.sealed`, which also stamps the checksum.
-* **Best effort.**  A builder that exhausts its budget returns ``None``
-  — under ``--certify`` a violation without a replayable witness
-  degrades to a retryable fault rather than a silent wrong verdict.
+* **One exploration.**  A witness is the path back through the
+  verdict's own exploration tree (:meth:`repro.semantics.lts.Graph.trace_to`),
+  walked along parent pointers from the first violating state in
+  breadth-first order, so no state is expanded twice.  The one exception
+  is plain-semantics secrecy, whose verdict unions the spy's knowledge
+  over all branches; :func:`secrecy_witness` searches the
+  ``(state, path knowledge)`` product space for one concrete run.
+* **Best effort.**  That search may exhaust its budget or be stopped
+  by the job's deadline and return ``None`` — under ``--certify`` a
+  violation without a replayable witness degrades to a retryable fault
+  rather than a silent wrong verdict.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
 from repro.core.addresses import Location, is_prefix
-from repro.core.errors import ReproError, TermError
+from repro.core.errors import ReproError
 from repro.core.terms import (
     At,
     Localized,
@@ -49,13 +56,12 @@ from repro.core.terms import (
     Term,
     Var,
     Zero,
-    localize,
-    origin,
 )
+from repro.runtime.deadline import RunControl, resolve_control
 from repro.semantics.actions import Comm, Transition
-from repro.semantics.lts import Budget, find_trace
+from repro.semantics.lts import Budget, Graph, _bfs
 from repro.semantics.system import System
-from repro.semantics.transitions import pending_actions, successors
+from repro.semantics.transitions import successors
 
 #: Recognized witness kinds.  The ``env-`` prefix selects the
 #: environment-sensitive (most-general-attacker) semantics on replay.
@@ -145,13 +151,20 @@ def step_record(action: Comm, label: str, env: Optional[str] = None) -> dict:
     return record
 
 
-def _steps_from_trace(system: System, trace: Sequence[Transition]) -> tuple[dict, ...]:
-    """Serialize a plain-semantics trace, narrating against each source."""
+def _steps_from_trace(initial: Any, trace: Sequence) -> tuple[dict, ...]:
+    """Serialize a trace, narrating each step against its source state.
+
+    Environment steps (:class:`~repro.analysis.environment.EnvStep`)
+    also record their ``tau``/``hear``/``say`` kind; plain
+    :class:`Transition` steps have none.
+    """
     steps = []
-    state = system
-    for transition in trace:
-        steps.append(step_record(transition.action, transition.describe(state)))
-        state = transition.target
+    state = initial
+    for step in trace:
+        steps.append(
+            step_record(step.action, step.describe(state), getattr(step, "kind", None))
+        )
+        state = step.target
     return tuple(steps)
 
 
@@ -256,135 +269,76 @@ class Witness:
 # ----------------------------------------------------------------------
 
 
+def graph_witness(graph: Graph, key: Any, kind: str, prop: Mapping[str, Any]) -> Witness:
+    """The run to the violating state ``key`` of an explored graph: the
+    path back through the exploration tree's parent pointers.
+
+    Serves plain graphs (``authentication``/``freshness``) and
+    environment graphs (the ``env-*`` kinds) alike.
+    """
+    return Witness(
+        kind=kind,
+        prop=dict(prop),
+        steps=_steps_from_trace(graph.states[graph.initial], graph.trace_to(key)),
+    )
+
+
+class _SpyStep(NamedTuple):
+    """A step of the secrecy product space: the plain transition and
+    the product state it leads to."""
+
+    transition: Transition
+    target: Any  # EnvState: the target system and the spy's path knowledge
+
+
 def secrecy_witness(
     system: System,
     spy_loc: Location,
     secret_base: str,
     spy: str,
     budget: Budget,
+    control: Optional[RunControl] = None,
 ) -> Optional[Witness]:
     """Shortest run along which the spy's *path* knowledge derives a
     secret.
 
     :func:`repro.analysis.secrecy.keeps_secret` unions the spy's hearing
     over every explored branch (a sound over-approximation); a witness
-    must be one concrete run, so this is a product search over
-    ``(system state, path knowledge)`` nodes.  Returns ``None`` when no
-    single-path leak is found within the budget.
+    must be one concrete run, so this is a search of its own over
+    ``(system state, path knowledge)`` nodes, with unreduced successors.
+    Returns ``None`` when no single-path leak is found within the
+    budget, or before ``control`` stops the search.
     """
+    from repro.analysis.environment import EnvState
     from repro.analysis.knowledge import Knowledge
 
-    def leaks(state: System, knowledge: Knowledge) -> bool:
+    def leaks(node: EnvState) -> bool:
         return any(
             name.base == secret_base
             and name.uid is not None
-            and knowledge.can_derive(name)
-            for name in state.private
+            and node.knowledge.can_derive(name)
+            for name in node.system.private
         )
 
-    knowledge = Knowledge.from_terms(())
-    if leaks(system, knowledge):
-        return Witness(kind="secrecy", prop={"secret": secret_base, "spy": spy}, steps=())
-    start = (system.canonical_key(), knowledge.atoms)
-    seen = {start}
-    queue: deque = deque([(system, knowledge, (), 0)])
-    while queue:
-        state, known, path, depth = queue.popleft()
-        if depth >= budget.max_depth:
-            continue
-        for transition in successors(state):
-            action = transition.action
-            heard = is_prefix(spy_loc, action.receiver)
-            extended = known.adding(action.value) if heard else known
-            step = (state, transition)
-            if leaks(transition.target, extended):
-                trace = [*path, step]
-                steps = tuple(
-                    step_record(t.action, t.describe(source)) for source, t in trace
-                )
-                return Witness(
-                    kind="secrecy",
-                    prop={"secret": secret_base, "spy": spy},
-                    steps=steps,
-                )
-            key = (transition.target.canonical_key(), extended.atoms)
-            if key in seen or len(seen) >= budget.max_states:
-                continue
-            seen.add(key)
-            queue.append((transition.target, extended, (*path, step), depth + 1))
-    return None
+    def expand(node: EnvState, _visited) -> list[_SpyStep]:
+        steps = []
+        for transition in successors(node.system):
+            known = node.knowledge
+            if is_prefix(spy_loc, transition.action.receiver):
+                known = known.adding(transition.action.value)
+            steps.append(_SpyStep(transition, EnvState(transition.target, known)))
+        return steps
 
-
-def authentication_violation(
-    state: System, sender_loc: Location, observe_base: str
-) -> bool:
-    """Does ``state`` offer an activated continuation holding a datum
-    not created by the authenticated sender?"""
-    for action in pending_actions(state):
-        if not action.is_output or action.channel_subject.base != observe_base:
-            continue
-        try:
-            value = localize(action.payload, action.act_loc)
-        except TermError:
-            continue
-        creator = origin(value)
-        if creator is None or not is_prefix(sender_loc, creator):
-            return True
-    return False
-
-
-def freshness_violation(state: System, observe_base: str) -> bool:
-    """Does ``state`` hold two co-existing activations with one creator
-    — the single-run signature of a replay?"""
-    per_creator: dict[Location, Location] = {}
-    for action in pending_actions(state):
-        if not action.is_output or action.channel_subject.base != observe_base:
-            continue
-        try:
-            value = localize(action.payload, action.act_loc)
-        except TermError:
-            continue
-        creator = origin(value)
-        if creator is None:
-            continue
-        previous = per_creator.get(creator)
-        if previous is not None and previous != action.act_loc:
-            return True
-        per_creator[creator] = action.act_loc
-    return False
-
-
-def authentication_witness(
-    system: System, sender_role: str, observe_base: str, budget: Budget
-) -> Optional[Witness]:
-    """Shortest run to a state violating the Authentication property."""
-    sender_loc = system.location_of(sender_role)
-    trace = find_trace(
-        system,
-        lambda s: authentication_violation(s, sender_loc, observe_base),
-        budget,
-    )
-    if trace is None:
+    start = EnvState(system, Knowledge.from_terms(()))
+    graph = Graph(initial=start.key())
+    found = _bfs(graph, expand, EnvState.key, budget, resolve_control(control),
+                 initial=start, goal=leaks, family="search")
+    if found is None:
         return None
+    trace = [step.transition for step in graph.trace_to(found)]
     return Witness(
-        kind="authentication",
-        prop={"sender": sender_role, "observe": observe_base},
-        steps=_steps_from_trace(system, trace),
-    )
-
-
-def freshness_witness(
-    system: System, observe_base: str, budget: Budget
-) -> Optional[Witness]:
-    """Shortest run to a state violating the Freshness property."""
-    trace = find_trace(
-        system, lambda s: freshness_violation(s, observe_base), budget
-    )
-    if trace is None:
-        return None
-    return Witness(
-        kind="freshness",
-        prop={"observe": observe_base},
+        kind="secrecy",
+        prop={"secret": secret_base, "spy": spy},
         steps=_steps_from_trace(system, trace),
     )
 
@@ -401,56 +355,6 @@ def attack_witness(
         prop={"test": test_name, "barb": barb_base},
         steps=_steps_from_trace(system, trace),
     )
-
-
-# ----------------------------------------------------------------------
-# Builders — environment-sensitive witnesses
-# ----------------------------------------------------------------------
-
-
-def env_witness(
-    config,
-    kind: str,
-    goal: Callable,
-    prop: Mapping[str, Any],
-    env_role: str,
-    synth_depth: int,
-    budget: Budget,
-) -> Optional[Witness]:
-    """Shortest environment-sensitive run to a state satisfying ``goal``
-    (a predicate on :class:`~repro.analysis.environment.EnvState`).
-
-    The search expands the *full* hear/say/tau relation
-    (``tau_visited=None`` disables partial-order reduction of the honest
-    steps), so every recorded step is a genuine unreduced transition.
-    """
-    from repro.analysis.environment import env_initial, env_successors
-
-    initial, env_loc, channels = env_initial(config, env_role)
-    if goal(initial):
-        return Witness(kind=kind, prop=dict(prop), steps=())
-    seen = {initial.key()}
-    queue: deque = deque([(initial, (), 0)])
-    while queue:
-        state, path, depth = queue.popleft()
-        if depth >= budget.max_depth:
-            continue
-        for step in env_successors(
-            state, env_loc, channels, synth_depth, tau_visited=None
-        ):
-            if goal(step.target):
-                trace = [*path, (state, step)]
-                steps = tuple(
-                    step_record(s.action, s.describe(source), env=s.kind)
-                    for source, s in trace
-                )
-                return Witness(kind=kind, prop=dict(prop), steps=steps)
-            key = step.target.key()
-            if key in seen or len(seen) >= budget.max_states:
-                continue
-            seen.add(key)
-            queue.append((step.target, (*path, (state, step)), depth + 1))
-    return None
 
 
 # ----------------------------------------------------------------------

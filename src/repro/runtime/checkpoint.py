@@ -30,7 +30,7 @@ from repro.runtime.deadline import RunControl
 from repro.semantics.lts import Budget, Graph, resume_exploration
 
 #: Bumped whenever the on-disk layout changes incompatibly.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ReproError):

@@ -24,6 +24,14 @@ Explorations are *resilient*:
   so :func:`resume_exploration` — possibly in a later process, via
   :mod:`repro.runtime.checkpoint` — continues instead of restarting.
 
+Every breadth-first search in the library — :func:`explore`,
+:func:`resume_exploration`, :func:`search`, the environment-sensitive
+exploration of :mod:`repro.analysis.environment` and the secrecy
+witness search of :mod:`repro.analysis.witness` — runs the one kernel
+:func:`_bfs`, which also records a parent pointer per state: a
+violating run is read back off the exploration that found it
+(:meth:`Graph.trace_to`) instead of being searched for a second time.
+
 States are deduplicated up to alpha-equivalence by the canonical key of
 :mod:`repro.semantics.canonical`, which renumbers the fresh ids
 introduced by replication unfolding.  With the state cache enabled
@@ -39,7 +47,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Any, Callable, Hashable, Iterable, Optional
 
 from repro.obs.metrics import current_metrics
 from repro.obs.trace import trace_span
@@ -50,7 +58,6 @@ from repro.runtime.faults import FaultError
 from repro.semantics import canonical, reduction
 from repro.semantics.actions import Transition
 from repro.semantics.system import System
-from repro.semantics.transitions import successors
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,6 +93,10 @@ DEFAULT_BUDGET = Budget()
 class Graph:
     """An explored fragment of the labelled transition system.
 
+    The exploration kernel builds the same record for the other state
+    spaces it searches (the environment-sensitive semantics, the secrecy
+    witness product); their keys, states and steps are that space's own.
+
     Attributes:
         states: canonical key -> representative system.
         edges: canonical key -> list of (transition, target key).  A
@@ -104,6 +115,11 @@ class Graph:
             (the state budget refused them).  Kept separate so
             :meth:`deadlocks` does not mistake a half-expanded state for
             a stuck one.
+        parents: key -> (parent key, step) for every recorded state but
+            the initial one: the state that first discovered it and the
+            step it took.  ``states[key]`` is exactly that step's
+            target, so the tree path is a concrete run even when
+            symmetry merging maps other representatives to ``key``.
     """
 
     initial: str
@@ -112,6 +128,7 @@ class Graph:
     exhaustion: Optional[Exhaustion] = None
     pending: list[tuple[str, int]] = field(default_factory=list)
     incomplete: set[str] = field(default_factory=set)
+    parents: dict[str, tuple[str, Transition]] = field(default_factory=dict)
 
     @property
     def truncated(self) -> bool:
@@ -140,66 +157,15 @@ class Graph:
             if not out and key not in self.incomplete
         ]
 
-
-class _Tally:
-    """Local exploration counters, published to the ambient metrics
-    registry once per run — the hot loop never touches the registry."""
-
-    __slots__ = ("expanded", "transitions", "recorded", "dedup_hits", "max_queue")
-
-    def __init__(self) -> None:
-        self.expanded = 0
-        self.transitions = 0
-        self.recorded = 0
-        self.dedup_hits = 0
-        self.max_queue = 0
-
-
-def _expand(
-    graph: Graph,
-    state: System,
-    depth: int,
-    budget: Budget,
-    queue: deque[tuple[str, int]],
-    tally: _Tally,
-    use_por: bool = True,
-) -> tuple[list[tuple[Transition, str]], bool]:
-    """Expand one state; returns its (possibly partial) out-edges and
-    whether the state budget refused any target.
-
-    Successors come from the reducer: partial-order reduction (when
-    active and ``use_por``) expands a single ample transition instead
-    of the full batch, with visited states as the cycle proviso; the
-    full batch is materialized in one arena pass either way.
-    """
-    out: list[tuple[Transition, str]] = []
-    refused = False
-    steps = reduction.reduced_successors(
-        state,
-        is_visited=(
-            (lambda step: step.target.canonical_key() in graph.states)
-            if use_por
-            else None
-        ),
-    )
-    for step in steps:
-        target_key = step.target.canonical_key()
-        if target_key not in graph.states:
-            if len(graph.states) >= budget.max_states:
-                # The edge's target was refused by the budget: leave
-                # the edge out too, so the graph stays self-contained
-                # (every recorded edge ends in a recorded state).
-                refused = True
-                continue
-            graph.states[target_key] = step.target
-            queue.append((target_key, depth + 1))
-            tally.recorded += 1
-        else:
-            tally.dedup_hits += 1
-        out.append((step, target_key))
-    tally.expanded += 1
-    tally.transitions += len(out)
-    return out, refused
+    def trace_to(self, key: Hashable) -> list:
+        """The steps from the initial state to ``key`` along parent
+        pointers: the shortest run the breadth-first exploration found."""
+        trace = []
+        while key != self.initial:
+            key, step = self.parents[key]
+            trace.append(step)
+        trace.reverse()
+        return trace
 
 
 def _dedup_pending(entries) -> list[tuple[str, int]]:
@@ -240,25 +206,57 @@ def snapshot_exploration(graph: Graph, queue: deque[tuple[str, int]]) -> Graph:
         exhaustion=graph.exhaustion,
         pending=_dedup_pending(list(graph.pending) + list(queue)),
         incomplete=set(graph.incomplete),
+        parents=dict(graph.parents),
     )
 
 
-def _run_exploration(
+def _bfs(
     graph: Graph,
-    queue: deque[tuple[str, int]],
+    successors: Callable[[Any, Callable[[Hashable], bool]], Iterable],
+    key_of: Callable[[Any], Hashable],
     budget: Budget,
     control: RunControl,
-    use_por: bool = True,
-) -> None:
-    """Drive the BFS over ``queue``, mutating ``graph`` in place."""
+    *,
+    initial: Any = None,
+    frontier: Iterable[tuple[Hashable, int]] = (),
+    goal: Optional[Callable[[Any], bool]] = None,
+    family: str = "explore",
+    autosave: bool = False,
+) -> Optional[Hashable]:
+    """The breadth-first search kernel: explore into ``graph``.
+
+    ``successors(state, visited)`` returns the steps to expand from a
+    state, each carrying its ``target`` state; ``visited(key)`` tells
+    whether a key is already recorded (the partial-order reducer's cycle
+    proviso).  ``key_of`` maps a state to its dedupe key.  With
+    ``initial`` the run starts afresh from that state (whose key must be
+    ``graph.initial``); otherwise it continues from ``frontier``, the
+    ``(key, depth)`` pairs of a partial graph.
+
+    ``goal`` sees every state when it is first discovered — before the
+    state budget applies, since the path to it is already concrete —
+    and the first hit stops the run; its key is returned (``None`` when
+    no state matched).
+
+    The kernel owns the budget checks and the order their exhaustion
+    reasons are noted in, interruption polling, ``KeyboardInterrupt``
+    and ``FaultError`` degradation (the state goes back to ``pending``),
+    dedupe, the ``pending``/``incomplete`` frontier, parent pointers,
+    the checkpoint autosave (``autosave``: plain explorations only) and
+    one publication of the ``{family}.*`` metrics.
+    """
+    states, edges, parents = graph.states, graph.edges, graph.parents
+    visited = states.__contains__
+    queue: deque[tuple[Hashable, int]] = deque(frontier)
     reasons: list[str] = []
     detail: Optional[str] = None
     deepest = 0
+    found: Optional[Hashable] = None
     started = time.monotonic()
-    autosave_every = control.checkpoint_every
-    autosave = control.on_checkpoint if autosave_every else None
-    last_saved = len(graph.states)
-    tally = _Tally()
+    autosave_every = control.checkpoint_every if autosave else None
+    on_checkpoint = control.on_checkpoint if autosave_every else None
+    last_saved = len(states)
+    recorded = expanded = transitions = dedup_hits = max_queue = 0
     cache_before = canonical.metrics_snapshot()
     reduction_before = reduction.metrics_snapshot()
 
@@ -266,10 +264,16 @@ def _run_exploration(
         if reason not in reasons:
             reasons.append(reason)
 
+    if initial is not None:
+        states[graph.initial] = initial
+        queue.append((graph.initial, 0))
+        recorded = 1
+        if goal is not None and goal(initial):
+            found = graph.initial
     try:
-        while queue:
-            if len(queue) > tally.max_queue:
-                tally.max_queue = len(queue)
+        while queue and found is None:
+            if len(queue) > max_queue:
+                max_queue = len(queue)
             stop = control.interruption()
             if stop is not None:
                 note(stop)
@@ -280,10 +284,32 @@ def _run_exploration(
                 note(ex.DEPTH)
                 graph.pending.append((key, depth))
                 continue
+            out: list = []
+            partial = False
             try:
-                out, refused = _expand(
-                    graph, graph.states[key], depth, budget, queue, tally, use_por
-                )
+                for step in successors(states[key], visited):
+                    target = step.target
+                    target_key = key_of(target)
+                    if target_key in states:
+                        dedup_hits += 1
+                    else:
+                        if goal is not None and goal(target):
+                            found = target_key
+                        elif len(states) >= budget.max_states:
+                            # Leave the refused target's edge out too, so
+                            # the graph stays self-contained (every
+                            # recorded edge ends in a recorded state).
+                            note(ex.STATES)
+                            partial = True
+                            continue
+                        states[target_key] = target
+                        parents[target_key] = (key, step)
+                        queue.append((target_key, depth + 1))
+                        recorded += 1
+                    out.append((step, target_key))
+                    if found is not None:
+                        partial = True
+                        break
             except FaultError as error:
                 note(ex.FAULT)
                 detail = str(error)
@@ -295,43 +321,66 @@ def _run_exploration(
                 detail = "KeyboardInterrupt"
                 graph.pending.append((key, depth))
                 break
-            graph.edges[key] = out
-            if refused:
-                note(ex.STATES)
+            expanded += 1
+            transitions += len(out)
+            edges[key] = out
+            if partial:
                 graph.pending.append((key, depth))
                 graph.incomplete.add(key)
             else:
                 graph.incomplete.discard(key)
-            if autosave is not None and len(graph.states) - last_saved >= autosave_every:
-                autosave(snapshot_exploration(graph, queue))
-                last_saved = len(graph.states)
+            if on_checkpoint is not None and len(states) - last_saved >= autosave_every:
+                on_checkpoint(snapshot_exploration(graph, queue))
+                last_saved = len(states)
     except KeyboardInterrupt:
         note(ex.CANCELLED)
         detail = "KeyboardInterrupt"
     graph.pending.extend(queue)
     queue.clear()
     elapsed = time.monotonic() - started
-    if reasons:
-        graph.exhaustion = Exhaustion(
+    graph.exhaustion = (
+        Exhaustion(
             tuple(reasons),
-            states=len(graph.states),
+            states=len(states),
             depth=deepest,
             elapsed=elapsed,
             detail=detail,
         )
-    else:
-        graph.exhaustion = None
+        if reasons
+        else None
+    )
     metrics = current_metrics()
     if metrics is not None:
-        metrics.inc("explore.runs")
-        metrics.inc("explore.states", tally.recorded)
-        metrics.inc("explore.expanded", tally.expanded)
-        metrics.inc("explore.transitions", tally.transitions)
-        metrics.inc("explore.dedup_hits", tally.dedup_hits)
-        metrics.set_gauge("explore.queue_depth", tally.max_queue)
-        metrics.observe("explore.seconds", elapsed)
+        metrics.inc(f"{family}.runs")
+        metrics.inc(f"{family}.states", recorded)
+        metrics.inc(f"{family}.expanded", expanded)
+        metrics.inc(f"{family}.transitions", transitions)
+        metrics.inc(f"{family}.dedup_hits", dedup_hits)
+        if goal is not None:
+            metrics.inc(f"{family}.found", 0 if found is None else 1)
+        metrics.set_gauge(f"{family}.queue_depth", max_queue)
+        metrics.observe(f"{family}.seconds", elapsed)
         canonical.publish_cache_metrics(metrics, cache_before)
         reduction.publish_reduction_metrics(metrics, reduction_before)
+    return found
+
+
+def _plain_successors(use_por: bool) -> Callable:
+    """The kernel's successor function for the plain semantics.
+
+    ``reduction.reduced_successors`` is looked up at call time, so a
+    wrapper installed on the module sees every expansion.
+    """
+
+    def expand(state: System, visited: Callable[[Hashable], bool]) -> list[Transition]:
+        return reduction.reduced_successors(
+            state,
+            is_visited=(
+                (lambda step: visited(step.target.canonical_key())) if use_por else None
+            ),
+        )
+
+    return expand
 
 
 def explore(
@@ -350,16 +399,11 @@ def explore(
     reduction (a quotient by an automorphism of the LTS) remains active
     and is sound for those checks.
     """
-    initial_key = system.canonical_key()
-    graph = Graph(initial=initial_key)
-    graph.states[initial_key] = system
-    metrics = current_metrics()
-    if metrics is not None:
-        metrics.inc("explore.states")  # the seeded initial state
-    queue: deque[tuple[str, int]] = deque([(initial_key, 0)])
+    graph = Graph(initial=system.canonical_key())
     with trace_span("lts.explore", max_states=budget.max_states,
                     max_depth=budget.max_depth):
-        _run_exploration(graph, queue, budget, resolve_control(control), use_por)
+        _bfs(graph, _plain_successors(use_por), System.canonical_key, budget,
+             resolve_control(control), initial=system, autosave=True)
     return graph
 
 
@@ -383,18 +427,20 @@ def resume_exploration(
         states=dict(graph.states),
         edges=dict(graph.edges),
         incomplete=set(graph.incomplete),
+        parents=dict(graph.parents),
     )
     # Deduplicate defensively on the read side too: checkpoints written
     # by older versions (or mid-expansion of a batched successor set)
     # may carry a key in both the refused list and the saved queue, and
     # re-expanding it would double-count states/transitions work.
-    queue: deque[tuple[str, int]] = deque(_dedup_pending(graph.pending))
-    if not queue:
+    frontier = _dedup_pending(graph.pending)
+    if not frontier:
         resumed.exhaustion = graph.exhaustion
         return resumed
     with trace_span("lts.resume", prior_states=len(graph.states),
                     max_states=budget.max_states, max_depth=budget.max_depth):
-        _run_exploration(resumed, queue, budget, resolve_control(control), use_por)
+        _bfs(resumed, _plain_successors(use_por), System.canonical_key, budget,
+             resolve_control(control), frontier=frontier, autosave=True)
     return resumed
 
 
@@ -403,12 +449,15 @@ class ReachResult:
     """Outcome of a bounded reachability search.
 
     ``found`` is conclusive when True; a False is only conclusive when
-    ``exhaustion`` is ``None``.
+    ``exhaustion`` is ``None``.  A found result carries ``trace``: the
+    shortest run to the matching state in the searched (reduced) graph,
+    ``[]`` when the initial state matches.
     """
 
     found: bool
     exhaustion: Optional[Exhaustion] = None
     states: int = 0
+    trace: Optional[list[Transition]] = None
 
     @property
     def exhaustive(self) -> bool:
@@ -424,7 +473,10 @@ def search(
     """Search for a reachable state satisfying ``predicate``.
 
     The structured twin of :func:`reachable`: the result says not just
-    whether the search was exhaustive but which limit stopped it.
+    whether the search was exhaustive but which limit stopped it, and a
+    hit carries the run that reaches it.  A state is tested when it is
+    first discovered, so a match the state budget would have refused
+    is still reported.
 
     Under partial-order reduction the search remains complete for the
     predicates this codebase uses (leaf-local/stutter-invariant facts:
@@ -433,86 +485,13 @@ def search(
     pending actions occur; a predicate sensitive to the *ordering* of
     independent internal steps would need ``--reduce none``.
     """
-    ctl = resolve_control(control)
-    seen: set[str] = {system.canonical_key()}
-    queue: deque[tuple[System, int]] = deque([(system, 0)])
-    reasons: list[str] = []
-    detail: Optional[str] = None
-    deepest = 0
-    dedup_hits = 0
-    max_queue = 0
-    found = False
-    started = time.monotonic()
-    cache_before = canonical.metrics_snapshot()
-    reduction_before = reduction.metrics_snapshot()
-
-    def note(reason: str) -> None:
-        if reason not in reasons:
-            reasons.append(reason)
-
-    def publish() -> None:
-        metrics = current_metrics()
-        if metrics is not None:
-            metrics.inc("search.runs")
-            metrics.inc("search.states", len(seen))
-            metrics.inc("search.dedup_hits", dedup_hits)
-            metrics.inc("search.found", 1 if found else 0)
-            metrics.set_gauge("search.queue_depth", max_queue)
-            metrics.observe("search.seconds", time.monotonic() - started)
-            canonical.publish_cache_metrics(metrics, cache_before)
-            reduction.publish_reduction_metrics(metrics, reduction_before)
-
-    try:
-        while queue:
-            if len(queue) > max_queue:
-                max_queue = len(queue)
-            stop = ctl.interruption()
-            if stop is not None:
-                note(stop)
-                break
-            state, depth = queue.popleft()
-            deepest = max(deepest, depth)
-            if predicate(state):
-                found = True
-                publish()
-                return ReachResult(True, None, len(seen))
-            if depth >= budget.max_depth:
-                note(ex.DEPTH)
-                continue
-            try:
-                steps = reduction.reduced_successors(
-                    state, is_visited=lambda step: step.target.canonical_key() in seen
-                )
-                for step in steps:
-                    key = step.target.canonical_key()
-                    if key in seen:
-                        dedup_hits += 1
-                        continue
-                    if len(seen) >= budget.max_states:
-                        note(ex.STATES)
-                        continue
-                    seen.add(key)
-                    queue.append((step.target, depth + 1))
-            except FaultError as error:
-                note(ex.FAULT)
-                detail = str(error)
-                continue
-    except KeyboardInterrupt:
-        note(ex.CANCELLED)
-        detail = "KeyboardInterrupt"
-    exhaustion = (
-        Exhaustion(
-            tuple(reasons),
-            states=len(seen),
-            depth=deepest,
-            elapsed=time.monotonic() - started,
-            detail=detail,
-        )
-        if reasons
-        else None
-    )
-    publish()
-    return ReachResult(False, exhaustion, len(seen))
+    graph = Graph(initial=system.canonical_key())
+    found = _bfs(graph, _plain_successors(True), System.canonical_key, budget,
+                 resolve_control(control), initial=system, goal=predicate,
+                 family="search")
+    if found is None:
+        return ReachResult(False, graph.exhaustion, len(graph.states))
+    return ReachResult(True, None, len(graph.states), graph.trace_to(found))
 
 
 def reachable(
@@ -532,43 +511,6 @@ def reachable(
     return result.found, result.exhaustive
 
 
-def runs(
-    system: System,
-    max_length: int,
-    budget: Budget = DEFAULT_BUDGET,
-    control: Optional[RunControl] = None,
-) -> Iterator[list[Transition]]:
-    """Enumerate transition sequences from ``system`` up to a length.
-
-    Depth-first, deduplicating on the *path-end* state so diverging
-    interleavings of the same trace are not repeated ad infinitum.
-    Useful for diagnostics and attack narration.
-    """
-    ctl = resolve_control(control)
-
-    def go(state: System, prefix: list[Transition], seen: set[str]) -> Iterator[list[Transition]]:
-        if prefix:
-            yield list(prefix)
-        if len(prefix) >= max_length or len(seen) >= budget.max_states:
-            return
-        if ctl.interruption() is not None:
-            return
-        try:
-            steps = successors(state)
-        except FaultError:
-            return
-        for step in steps:
-            key = step.target.canonical_key()
-            if key in seen:
-                continue
-            seen.add(key)
-            prefix.append(step)
-            yield from go(step.target, prefix, seen)
-            prefix.pop()
-
-    yield from go(system, [], {system.canonical_key()})
-
-
 def narrate(system: System, trace: list[Transition]) -> list[str]:
     """Render a transition sequence as a protocol narration."""
     lines: list[str] = []
@@ -577,43 +519,3 @@ def narrate(system: System, trace: list[Transition]) -> list[str]:
         lines.append(f"Step {i}: {step.describe(state)}")
         state = step.target
     return lines
-
-
-def find_trace(
-    system: System,
-    predicate: Callable[[System], bool],
-    budget: Budget = DEFAULT_BUDGET,
-    control: Optional[RunControl] = None,
-) -> Optional[list[Transition]]:
-    """Shortest transition sequence to a state satisfying ``predicate``.
-
-    Returns ``None`` when no such state is found within the budget (or
-    before the control interrupts the search).
-    """
-    ctl = resolve_control(control)
-    if predicate(system):
-        return []
-    seen: set[str] = {system.canonical_key()}
-    queue: deque[tuple[System, list[Transition], int]] = deque([(system, [], 0)])
-    try:
-        while queue:
-            if ctl.interruption() is not None:
-                return None
-            state, path, depth = queue.popleft()
-            if depth >= budget.max_depth:
-                continue
-            try:
-                steps = successors(state)
-            except FaultError:
-                continue
-            for step in steps:
-                if predicate(step.target):
-                    return path + [step]
-                key = step.target.canonical_key()
-                if key in seen or len(seen) >= budget.max_states:
-                    continue
-                seen.add(key)
-                queue.append((step.target, path + [step], depth + 1))
-    except KeyboardInterrupt:
-        return None
-    return None

@@ -10,6 +10,8 @@ exactness it does not have.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.analysis.environment import env_explore, env_secrecy
@@ -214,3 +216,41 @@ class TestVerdictsDegradeGracefully:
             verdict = env_secrecy(impl_crypto(), "M", budget=SMALL_BUDGET)
         assert not verdict.exhaustive
         assert verdict.exhaustion is not None
+
+
+class TestWitnessesUnderFaults:
+    """Violating verdicts under injected faults: the witness is read off
+    the verdict's own (faulted) exploration, so nothing raises, and any
+    witness that is produced is a run the replay checker accepts."""
+
+    SYSTEMS = os.path.join(os.path.dirname(__file__), "..", "examples", "systems")
+    P1 = os.path.normpath(os.path.join(SYSTEMS, "p1_impl.spi"))
+    P_SPEC = os.path.normpath(os.path.join(SYSTEMS, "p_spec.spi"))
+
+    JOBS = {
+        "env-secrecy": dict(kind="secrecy", target={"sysfile": P1}, secret="M"),
+        "env-authentication": dict(
+            kind="authentication", target={"sysfile": P1}, sender="A"
+        ),
+        "check-attack": dict(kind="check", target={"impl": P1, "spec": P_SPEC}),
+        "zoo-secrecy": dict(
+            kind="secrecy", target={"zoo": "needham-schroeder-sk"}, secret="NA"
+        ),
+    }
+
+    @pytest.mark.parametrize("every", [3, 2])
+    @pytest.mark.parametrize("name", sorted(JOBS))
+    def test_violation_degrades_or_replays(self, name, every):
+        from repro.runtime.worker import Job, run_job
+        from repro.semantics.replay import replay_witness
+
+        job = Job(id=f"faults:{name}", max_states=2000, max_depth=24, **self.JOBS[name])
+        with inject_faults(FaultPlan(every=every)):
+            result = run_job(job)
+        witness = result.get("witness")
+        assert not result["exact"] or witness is not None, result["summary"]
+        if witness is not None:
+            # Replayed outside the fault plan: the checker's own
+            # successor calls must not be the ones failing.
+            report = replay_witness(witness)
+            assert report.ok, report.describe()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.core.processes import Channel, Input, Nil, Output, Parallel, Replication, Restriction
 from repro.core.terms import Name, Var
-from repro.semantics.lts import Budget, explore, find_trace, narrate, reachable, runs
+from repro.semantics.lts import Budget, explore, narrate, reachable, search
 from repro.semantics.system import instantiate
 
 a, b, k, m = Name("a"), Name("b"), Name("k"), Name("m")
@@ -88,40 +88,30 @@ class TestReachable:
 
 
 class TestFindTrace:
+    """Traces read off the search's parent pointers (``search(...).trace``)."""
+
     def test_shortest_trace(self):
         system = ping_pong()
-        trace = find_trace(
+        trace = search(
             system, lambda s: all(isinstance(p, Nil) for _, p in s.leaves())
-        )
+        ).trace
         assert trace is not None and len(trace) == 2
 
     def test_initial_state_matches_empty_trace(self):
         system = ping_pong()
-        assert find_trace(system, lambda s: True) == []
+        assert search(system, lambda s: True).trace == []
 
     def test_unreachable_returns_none(self):
         system = ping_pong()
-        assert find_trace(system, lambda s: False) is None
+        assert search(system, lambda s: False).trace is None
 
 
 class TestNarrate:
     def test_role_labels_in_narration(self):
         system = ping_pong()
-        trace = find_trace(
+        trace = search(
             system, lambda s: all(isinstance(p, Nil) for _, p in s.leaves())
-        )
+        ).trace
         lines = narrate(system, trace)
         assert lines[0] == "Step 1: A -> B on a : k"
         assert lines[1] == "Step 2: A -> B on b : m"
-
-
-class TestRuns:
-    def test_runs_enumerates_prefixes(self):
-        system = ping_pong()
-        all_runs = list(runs(system, max_length=2))
-        lengths = sorted(len(r) for r in all_runs)
-        assert lengths == [1, 2]
-
-    def test_runs_respects_length_bound(self):
-        system = ping_pong()
-        assert all(len(r) <= 1 for r in runs(system, max_length=1))

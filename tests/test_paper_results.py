@@ -28,7 +28,7 @@ from repro.analysis.intruder import impersonator, replayer, standard_attackers
 from repro.equivalence.simulation import weakly_simulated
 from repro.equivalence.testing import Test, compose, passes
 from repro.semantics.actions import output_barb
-from repro.semantics.lts import Budget, explore, find_trace
+from repro.semantics.lts import Budget, explore
 from repro.semantics.system import instantiate
 from repro.semantics.transitions import successors
 

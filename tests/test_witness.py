@@ -84,6 +84,25 @@ def check_result() -> dict:
     )
 
 
+@pytest.fixture(scope="module")
+def env_authentication_result() -> dict:
+    return certified_result(
+        "authentication", target={"sysfile": P1}, sender="A",
+        max_states=4000, max_depth=24,
+    )
+
+
+@pytest.fixture(scope="module")
+def authentication_result() -> dict:
+    # Plain semantics: B's continuation republishes PAYLOAD, which A
+    # creates, so naming S as the sender makes the first activation a
+    # violation.
+    return certified_result(
+        "authentication", target={"zoo": "needham-schroeder-sk"}, sender="S",
+        max_states=2000, max_depth=24,
+    )
+
+
 class TestWitnessRecord:
     def test_round_trip_identity(self, secrecy_result):
         payload = secrecy_result["witness"]
@@ -157,19 +176,33 @@ class TestTamperProperties:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(data=st.data())
-    def test_truncated_trace_never_replays(self, data, freshness_result):
-        # find_trace returns a *shortest* violating trace, so no proper
-        # prefix can satisfy the property — even after resealing the
-        # truncated payload so its checksum passes.
-        payload = json.loads(json.dumps(freshness_result["witness"]))
-        assert len(payload["steps"]) >= 2
-        keep = data.draw(
-            st.integers(min_value=0, max_value=len(payload["steps"]) - 1)
+    def test_truncated_trace_never_replays(
+        self,
+        data,
+        freshness_result,
+        env_authentication_result,
+        authentication_result,
+        check_result,
+    ):
+        # A witness is the path to the *first* violating state in BFS
+        # order, so no proper prefix can satisfy the property — even
+        # after resealing the truncated payload so its checksum passes.
+        results = (
+            freshness_result,
+            env_authentication_result,
+            authentication_result,
+            check_result,
         )
-        payload["steps"] = payload["steps"][:keep]
-        payload["checksum"] = witness_checksum(payload)
-        report = replay_witness(payload)
-        assert not report.ok
+        for result in results:
+            payload = json.loads(json.dumps(result["witness"]))
+            assert len(payload["steps"]) >= 1
+            keep = data.draw(
+                st.integers(min_value=0, max_value=len(payload["steps"]) - 1)
+            )
+            payload["steps"] = payload["steps"][:keep]
+            payload["checksum"] = witness_checksum(payload)
+            report = replay_witness(payload)
+            assert not report.ok, (payload["kind"], keep)
 
     def test_reseal_after_tamper_still_fails_replay(self, secrecy_result):
         # A checksum-passing forgery must still fail the *semantic*
@@ -194,11 +227,8 @@ class TestCertifiedJobs:
         assert freshness_result["certified"]
         assert replay_witness(freshness_result["witness"]).ok
 
-    def test_authentication_certifies(self):
-        result = certified_result(
-            "authentication", target={"sysfile": P1}, sender="A",
-            max_states=4000, max_depth=24,
-        )
+    def test_authentication_certifies(self, env_authentication_result):
+        result = env_authentication_result
         assert result["violated"]
         assert result["certified"]
         assert replay_witness(result["witness"]).ok
@@ -372,3 +402,198 @@ class TestCertificationFailure:
         )
         with pytest.raises(CertificationError):
             run_job(job)
+
+
+class TestWitnessFromTheVerdictsExploration:
+    """A witness is read off the exploration that found the violation:
+    no state is expanded a second time to rebuild the run."""
+
+    BUDGET = (2000, 24)
+
+    @pytest.fixture
+    def plain_expansions(self, monkeypatch):
+        """Canonical keys of every plain-semantics successor computation."""
+        from repro.semantics import reduction, transitions
+
+        keys: list[str] = []
+        for module in (transitions, reduction):
+            def counted(system, original=module.batched_successors):
+                keys.append(system.canonical_key())
+                return original(system)
+
+            monkeypatch.setattr(module, "batched_successors", counted)
+        return keys
+
+    @pytest.fixture
+    def env_expansions(self, monkeypatch):
+        """Keys of every environment-sensitive state expanded."""
+        from repro.analysis import environment
+
+        keys: list[tuple] = []
+
+        def counted(state, *args, original=environment.env_successors, **kwargs):
+            keys.append(state.key())
+            return original(state, *args, **kwargs)
+
+        monkeypatch.setattr(environment, "env_successors", counted)
+        return keys
+
+    @staticmethod
+    def _expanded(metrics, family: str) -> int:
+        """States the verdict's own exploration expanded."""
+        return metrics.counter(f"{family}.expanded").value
+
+    def test_plain_authentication(self, plain_expansions):
+        from repro.analysis.intruder import impersonator
+        from repro.analysis.properties import authentication
+        from repro.core.terms import Name
+        from repro.obs.metrics import collecting
+        from repro.protocols.library import narration_configuration
+        from repro.protocols.zoo import ZOO
+        from repro.semantics.lts import Budget
+
+        spec = ZOO["needham-schroeder-sk"]()
+        config = narration_configuration(
+            spec, observed_role="B", observed_datum="PAYLOAD"
+        ).with_part("E", impersonator(Name(spec.channel)))
+        with collecting() as metrics:
+            verdict = authentication(config, "S", budget=Budget(*self.BUDGET))
+        assert not verdict.holds and verdict.witness is not None
+        assert len(plain_expansions) == len(set(plain_expansions))
+        assert len(plain_expansions) == self._expanded(metrics, "explore")
+
+    def test_plain_freshness(self, plain_expansions):
+        from repro.analysis.intruder import replayer
+        from repro.analysis.properties import freshness
+        from repro.core.terms import Name
+        from repro.obs.metrics import collecting
+        from repro.semantics.lts import Budget
+
+        from tests.conftest import impl_crypto_multi
+
+        config = impl_crypto_multi().with_part("E", replayer(Name("c")))
+        with collecting() as metrics:
+            verdict = freshness(config, budget=Budget(1200, 14))
+        assert not verdict.holds and verdict.witness is not None
+        assert len(plain_expansions) == len(set(plain_expansions))
+        assert len(plain_expansions) == self._expanded(metrics, "explore")
+
+    @pytest.mark.parametrize(
+        "analysis,path,kwargs",
+        [
+            ("env_secrecy", P1, {"secret_base": "M"}),
+            ("env_authentication", P1, {"sender_role": "A"}),
+            ("env_freshness", PM2, {}),
+        ],
+        ids=["env-secrecy", "env-authentication", "env-freshness"],
+    )
+    def test_env_verdicts(self, env_expansions, analysis, path, kwargs):
+        from repro.analysis import environment
+        from repro.obs.metrics import collecting
+        from repro.semantics.lts import Budget
+        from repro.syntax.sysfile import load_system_file
+
+        config = load_system_file(path).configuration
+        with collecting() as metrics:
+            verdict = getattr(environment, analysis)(
+                config, budget=Budget(*self.BUDGET), **kwargs
+            )
+        assert not verdict.holds and verdict.witness is not None
+        assert len(env_expansions) == len(set(env_expansions))
+        assert len(env_expansions) == self._expanded(metrics, "env")
+
+    def test_attack(self, plain_expansions):
+        from repro.analysis.attacks import securely_implements
+        from repro.analysis.intruder import standard_attackers
+        from repro.obs.metrics import collecting
+        from repro.semantics.lts import Budget
+        from repro.syntax.sysfile import load_system_file
+
+        impl = load_system_file(P1)
+        spec = load_system_file(P_SPEC)
+        with collecting() as metrics:
+            verdict = securely_implements(
+                impl.configuration,
+                spec.configuration,
+                standard_attackers(list(impl.configuration.private)),
+                observe=impl.observe,
+                roles=("A", "B", "E"),
+                budget=Budget(*self.BUDGET),
+            )
+        assert not verdict.secure and verdict.attack.witness is not None
+        # Every successor computation is one the test searches counted
+        # as an expansion: nothing re-explored to narrate the attack.
+        assert len(plain_expansions) == self._expanded(metrics, "search")
+
+
+class TestWitnessSearchHonoursControl:
+    """Plain secrecy's witness search is the one second pass left; it
+    polls the job's control like the exploration before it."""
+
+    @pytest.fixture
+    def expire_after_exploration(self, monkeypatch):
+        """A controllable clock that jumps past every deadline as soon as
+        ``keeps_secret``'s exploration returns."""
+        from repro.analysis import secrecy
+
+        clock = [0.0]
+        original = secrecy.explore
+
+        def explore_then_expire(*args, **kwargs):
+            graph = original(*args, **kwargs)
+            clock[0] += 3600.0
+            return graph
+
+        monkeypatch.setattr(secrecy, "explore", explore_then_expire)
+        return lambda: clock[0]
+
+    def test_expired_control_leaves_witness_none(self, expire_after_exploration):
+        import time
+
+        from repro.analysis.intruder import eavesdropper
+        from repro.analysis.secrecy import keeps_secret
+        from repro.core.terms import Name
+        from repro.obs.metrics import collecting
+        from repro.protocols.library import narration_configuration
+        from repro.protocols.zoo import ZOO
+        from repro.runtime.deadline import Deadline, RunControl
+        from repro.semantics.lts import Budget
+
+        spec = ZOO["needham-schroeder-sk"]()
+        config = narration_configuration(
+            spec, observed_role="B", observed_datum="PAYLOAD"
+        ).with_part("E", eavesdropper(Name(spec.channel), messages=6))
+        control = RunControl(
+            deadline=Deadline.after(60.0, clock=expire_after_exploration)
+        )
+        started = time.monotonic()
+        with collecting() as metrics:
+            verdict = keeps_secret(config, "NA", budget=Budget(2000, 24), control=control)
+        assert time.monotonic() - started < 10.0
+        assert not verdict.holds and verdict.exhaustive
+        assert verdict.witness is None
+        # The witness search stopped before its first expansion.
+        assert metrics.counter("search.expanded").value == 0
+
+    def test_certify_degrades_to_certification_error(
+        self, monkeypatch, expire_after_exploration
+    ):
+        from repro.runtime import worker
+        from repro.runtime.deadline import Deadline
+
+        monkeypatch.setattr(
+            worker.Deadline,
+            "after",
+            classmethod(
+                lambda cls, seconds: Deadline(
+                    expire_after_exploration() + seconds, expire_after_exploration
+                )
+            ),
+        )
+        monkeypatch.setenv(CERTIFY_ENV, "1")
+        job = Job(
+            id="wtest:expired", kind="secrecy", target={"zoo": "needham-schroeder-sk"},
+            secret="NA", max_states=2000, max_depth=24,
+        )
+        with pytest.raises(CertificationError):
+            run_job(job, deadline=60.0)
