@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import selectors
 import shutil
 import signal
 import tempfile
@@ -301,7 +302,14 @@ class PoolEvent:
     worker: _Worker
     message: Optional[dict] = None
     description: Optional[str] = None
-    current: Optional[object] = None
+
+    @property
+    def current(self) -> Optional[object]:
+        """The dead worker's payload, read when the event is handled:
+        a worker that sent its result and then died in the same poll is
+        released by the caller's handling of that result first, so its
+        exit hands back nothing to retry."""
+        return self.worker.current if self.kind == "exit" else None
 
 
 class WorkerPool:
@@ -326,6 +334,10 @@ class WorkerPool:
         max_spawns: lifetime spawn budget — ``None`` for unbounded
             (services replace workers forever), a number to break
             pathological crash loops (batch runs).
+        selector: an event loop's selector; each live worker's pipe is
+            registered in it for reading (data ``("worker", worker)``)
+            from spawn until reap, so worker messages and deaths wake
+            the loop.
     """
 
     def __init__(
@@ -338,6 +350,7 @@ class WorkerPool:
         hard_deadline: Optional[float] = None,
         max_spawns: Optional[int] = None,
         name: str = "repro-worker",
+        selector: Optional[selectors.BaseSelector] = None,
     ) -> None:
         if size < 1:
             raise SupervisorError("need at least one worker")
@@ -348,6 +361,7 @@ class WorkerPool:
         self.hard_deadline = hard_deadline
         self.max_spawns = max_spawns
         self.name = name
+        self.selector = selector
         self.spawned = 0
         self._ctx = multiprocessing.get_context("spawn")
         self._pool: list[_Worker] = []
@@ -406,6 +420,8 @@ class WorkerPool:
         self._next_index += 1
         with self._lock:
             self._pool.append(worker)
+        if self.selector is not None:
+            self.selector.register(parent_conn, selectors.EVENT_READ, ("worker", worker))
         return worker
 
     def ensure(self, target: Optional[int] = None) -> None:
@@ -484,8 +500,10 @@ class WorkerPool:
                         events.append(PoolEvent("message", worker, message=message))
             except (EOFError, OSError):
                 # Pipe torn: the process is dead or dying.  Make it
-                # unambiguous; the next poll reaps it.
+                # unambiguous and reap it now — a pipe left at EOF would
+                # keep waking the caller's event loop until a later sweep.
                 self._sigkill(worker)
+                events.append(self._reap(worker))
         return events
 
     def shutdown(self, timeout: float = 2.0) -> None:
@@ -497,6 +515,7 @@ class WorkerPool:
             leftovers = list(self._pool)
             self._pool.clear()
         for worker in leftovers:
+            self._unwatch(worker)
             try:
                 worker.conn.send({"type": "shutdown"})
             except (BrokenPipeError, OSError):
@@ -518,6 +537,7 @@ class WorkerPool:
         with self._lock:
             if worker in self._pool:
                 self._pool.remove(worker)
+        self._unwatch(worker)
         try:
             worker.conn.close()
         except OSError:
@@ -531,8 +551,15 @@ class WorkerPool:
                 description = f"worker died on signal {-code}"
             else:
                 description = f"worker exited with status {code}"
-        current, worker.current = worker.current, None
-        return PoolEvent("exit", worker, description=description, current=current)
+        return PoolEvent("exit", worker, description=description)
+
+    def _unwatch(self, worker: _Worker) -> None:
+        """Drop the worker's pipe from the selector (before it closes)."""
+        if self.selector is not None:
+            try:
+                self.selector.unregister(worker.conn)
+            except (KeyError, ValueError, OSError):
+                pass
 
     def _sigkill(self, worker: _Worker) -> None:
         if worker.pid is not None:

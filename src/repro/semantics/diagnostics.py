@@ -14,13 +14,14 @@ Inspection utilities for the graphs produced by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Optional
 
 from repro.runtime.exhaustion import Exhaustion
 from repro.semantics.lts import Graph
 from repro.semantics.system import System
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,6 +58,10 @@ def to_networkx(graph: Graph) -> nx.DiGraph:
     Node keys are canonical state keys; each edge carries the
     :class:`~repro.semantics.actions.Transition` under ``"transition"``.
     """
+    # Imported here, not at module level: networkx costs every process
+    # that imports repro (servers, workers, clients) ~14 MB.
+    import networkx as nx
+
     g = nx.DiGraph()
     g.add_nodes_from(graph.states)
     for source, out in graph.edges.items():
@@ -67,6 +72,8 @@ def to_networkx(graph: Graph) -> nx.DiGraph:
 
 def statistics(graph: Graph) -> GraphStatistics:
     """Compute shape metrics of an explored fragment."""
+    import networkx as nx
+
     g = to_networkx(graph)
     if graph.initial in g:
         lengths = nx.single_source_shortest_path_length(g, graph.initial)

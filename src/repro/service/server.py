@@ -4,9 +4,13 @@ A long-running process that accepts framed JSON verification requests
 (see :mod:`repro.service.protocol`) on a Unix socket and/or a TCP
 listener and dispatches them onto the same supervised
 :class:`~repro.runtime.supervisor.WorkerPool` the batch runner uses.
-One event loop (``selectors``), no per-connection threads: client
-sockets are non-blocking, worker pipes are swept with
-``WorkerPool.poll(0)`` every tick.
+One event loop (``selectors``), no per-connection threads: one
+selector watches the listeners, the non-blocking client sockets, every
+live worker's pipe (registered by the pool from spawn to reap) and a
+wakeup socket that :meth:`Server.request_drain` writes to.  A request,
+a worker's result or death, or a drain request therefore ends the wait
+at once; the ``tick`` only bounds how late timed housekeeping (queued
+deadline expiry, retry backoff, the drain grace) runs.
 
 What makes it a *service* rather than a socket wrapper around
 ``run_suite`` is the failure policy:
@@ -114,7 +118,9 @@ class ServerConfig:
     hang_grace: float = 5.0
     backoff_base: float = 0.25
     backoff_cap: float = 8.0
-    #: Event-loop tick (selector timeout) in seconds.
+    #: Longest selector wait in seconds: the loop wakes at once on
+    #: socket, worker-pipe and drain events, so this only bounds how
+    #: late timed housekeeping (expiry, backoff, drain grace) runs.
     tick: float = 0.05
     #: Accept ``fault_plan`` fields in requests (crash-injection tests
     #: only; a production server refuses them).
@@ -202,6 +208,7 @@ class Server:
             except ReproError:
                 pass  # a damaged journal must not block the restart
         self.metrics = Metrics()
+        self._selector = selectors.DefaultSelector()
         self.pool = WorkerPool(
             config.workers,
             heartbeat_interval=config.heartbeat_interval,
@@ -209,6 +216,7 @@ class Server:
             max_rss_mb=config.max_rss_mb,
             max_spawns=None,  # services replace workers forever
             name="repro-serve-worker",
+            selector=self._selector,
         )
         self.journal = (
             Journal(config.journal_path, fresh=False)
@@ -231,8 +239,12 @@ class Server:
             self.store = None
         #: request id -> live ticket, for coalescing duplicates.
         self._inflight_ids: dict[str, _Ticket] = {}
-        self._selector = selectors.DefaultSelector()
         self._listeners: list[socket.socket] = []
+        # request_drain() writes one byte here to end the selector wait.
+        self._wakeup, self._waker = socket.socketpair()
+        for end in (self._wakeup, self._waker):
+            end.setblocking(False)
+        self._selector.register(self._wakeup, selectors.EVENT_READ, ("wakeup", None))
         self._clients: set[_Client] = set()
         self._drain = threading.Event()
         self._draining = False
@@ -273,8 +285,13 @@ class Server:
         self._listeners.append(listener)
 
     def request_drain(self) -> None:
-        """Ask the serve loop to drain (thread- and signal-safe)."""
+        """Ask the serve loop to drain (thread- and signal-safe); the
+        loop wakes at once instead of finishing its selector wait."""
         self._drain.set()
+        try:
+            self._waker.send(b"\0")
+        except OSError:
+            pass  # a wakeup is already pending, or the server has shut down
 
     @property
     def draining(self) -> bool:
@@ -287,30 +304,40 @@ class Server:
             while True:
                 if self._drain.is_set() and not self._draining:
                     self._begin_drain()
-                self._pump_sockets(self.config.tick)
                 now = time.monotonic()
                 self._handle_pool_events(now)
                 self._expire_queued(now)
                 if not self._draining:
                     self.pool.ensure()
                     self._dispatch_ready(now)
-                else:
-                    if self._drain_finished(now):
-                        break
+                elif self._drain_finished(now):
+                    break
                 self.metrics.set_gauge("service.queue_depth", self.queue.depth)
                 self.metrics.set_gauge("service.inflight", len(self.pool.busy()))
+                self._wait_for_events(self.config.tick)
         finally:
             self._shutdown()
         return 0
 
     # -- socket plumbing -----------------------------------------------
 
-    def _pump_sockets(self, timeout: float) -> None:
+    def _wait_for_events(self, timeout: float) -> None:
+        """Wait up to ``timeout`` for any event and serve the sockets.
+
+        Worker pipes need nothing here: their readiness only ends the
+        wait, and the next :meth:`_handle_pool_events` reads them.
+        """
         for key, mask in self._selector.select(timeout):
             role, payload = key.data
             if role == "listener":
                 self._accept(key.fileobj)
-            else:
+            elif role == "wakeup":
+                try:
+                    while self._wakeup.recv(64):
+                        pass
+                except OSError:
+                    pass
+            elif role == "client":
                 client = payload
                 if mask & selectors.EVENT_READ:
                     self._read(client)
@@ -951,6 +978,8 @@ class Server:
             except OSError:
                 pass
         self._selector.close()
+        self._wakeup.close()
+        self._waker.close()
         ambient = current_metrics()
         if ambient is not None:
             ambient.absorb(self.metrics)

@@ -28,7 +28,12 @@ not atomic); readers merge all segments.  Each segment follows the
   complete line is skipped, and a segment that shrank (torn-tail repair
   on reopen) or vanished (compaction) resets its tail.  The failure
   direction is always a **miss** (recompute the verdict), never a wrong
-  hit and never an exception on the admission path.
+  hit and never an exception on the admission path;
+* **the in-memory index holds offsets, not verdicts** — key → (offset,
+  length, engine) per segment, so a long-running server's memory does
+  not grow with verdict and witness sizes.  Every hit re-reads its line
+  and re-verifies the checksum, so a line damaged or removed after it
+  was indexed is a miss too.
 
 Keying — ``store_key`` hashes ``(engine version, canonical system
 signature, kind, budget signature)``.  System signatures are
@@ -62,9 +67,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import time
 import uuid
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from repro.core.errors import ReproError
 from repro.runtime.exhaustion import BUDGET_REASONS
@@ -232,18 +238,50 @@ def storable_result(result: object) -> bool:
 # ----------------------------------------------------------------------
 
 
+class _Entry(NamedTuple):
+    """Where a segment holds a key's record: the line's byte span and
+    the engine that computed it — never the record itself."""
+
+    offset: int
+    length: int
+    engine: str
+
+
+def _parse_record(line: bytes) -> Optional[dict]:
+    """A checksum-valid store record from one line, or ``None``."""
+    try:
+        record = json.loads(line.decode("utf-8", errors="replace"))
+    except ValueError:
+        return None  # damaged line: a cache miss, never a crash
+    if (
+        not isinstance(record, dict)
+        or record.get("type") != "verdict"
+        or not isinstance(record.get("key"), str)
+        or not isinstance(record.get("result"), dict)
+    ):
+        return None
+    if record.get("sum") != record_checksum(
+        record["key"], str(record.get("engine")), record["result"]
+    ):
+        return None  # damaged payload: a miss, never a wrong hit
+    return record
+
+
 class _SegmentTail:
     """Incremental reader of one segment file (JournalIndex discipline:
-    buffer torn tails, skip corrupt lines, reset on shrink)."""
+    buffer torn tails, skip corrupt lines, reset on shrink).
+
+    The index maps each key to its record's byte span, so memory grows
+    with the number of keys, not with verdict sizes; :meth:`read`
+    re-reads and re-verifies the line on every use.
+    """
 
     def __init__(self, path: str) -> None:
         self.path = path
         self._offset = 0
         self._tail = b""
-        #: key -> full store record (latest wins within the segment).
-        self.records: dict[str, dict] = {}
-        #: Complete lines parsed (including stale-engine ones).
-        self.lines = 0
+        #: key -> where its latest record in this segment lies.
+        self.index: dict[str, _Entry] = {}
         #: Dead segment: the file vanished (compaction/invalidation).
         self.gone = False
 
@@ -263,36 +301,36 @@ class _SegmentTail:
             self.gone = True
             return
         self.gone = False
+        position = self._offset - len(self._tail)
         self._offset += len(data)
-        buffer = self._tail + data
-        lines = buffer.split(b"\n")
+        lines = (self._tail + data).split(b"\n")
         self._tail = lines.pop()  # b"" when data ended on a newline
         for line in lines:
-            if not line:
-                continue
-            try:
-                record = json.loads(line.decode("utf-8", errors="replace"))
-            except ValueError:
-                continue  # damaged line: a cache miss, never a crash
-            if (
-                not isinstance(record, dict)
-                or record.get("type") != "verdict"
-                or not isinstance(record.get("key"), str)
-                or not isinstance(record.get("result"), dict)
-            ):
-                continue
-            if record.get("sum") != record_checksum(
-                record["key"], str(record.get("engine")), record["result"]
-            ):
-                continue  # damaged payload: a miss, never a wrong hit
-            self.lines += 1
-            self.records[record["key"]] = record
+            record = _parse_record(line) if line else None
+            if record is not None:
+                self.index[record["key"]] = _Entry(
+                    position, len(line), sys.intern(str(record.get("engine")))
+                )
+            position += len(line) + 1
+
+    def read(self, key: str, entry: _Entry) -> Optional[dict]:
+        """The record at ``entry``, read from disk and checksum-verified
+        now; ``None`` when the line has vanished or no longer verifies."""
+        try:
+            with open(self.path, "rb") as handle:
+                handle.seek(entry.offset)
+                line = handle.read(entry.length)
+        except OSError:
+            return None
+        record = _parse_record(line)
+        if record is None or record["key"] != key:
+            return None
+        return record
 
     def _reset(self) -> None:
         self._offset = 0
         self._tail = b""
-        self.records = {}
-        self.lines = 0
+        self.index = {}
 
 
 class VerdictStore:
@@ -354,9 +392,11 @@ class VerdictStore:
             return None
         self.refresh()
         for tail in self._tails.values():
-            record = tail.records.get(key)
-            if record is not None and record.get("engine") == self.engine:
-                return record
+            entry = tail.index.get(key)
+            if entry is not None and entry.engine == self.engine:
+                record = tail.read(key, entry)
+                if record is not None:
+                    return record
         return None
 
     def __contains__(self, key: str) -> bool:
@@ -428,12 +468,11 @@ class VerdictStore:
         keys: set[str] = set()
         records = 0
         for tail in self._tails.values():
-            for record in tail.records.values():
+            for key, entry in tail.index.items():
                 records += 1
-                engine = str(record.get("engine"))
-                engines[engine] = engines.get(engine, 0) + 1
-                if engine == self.engine:
-                    keys.add(record["key"])
+                engines[entry.engine] = engines.get(entry.engine, 0) + 1
+                if entry.engine == self.engine:
+                    keys.add(key)
         size = 0
         for path in self._segments():
             try:
@@ -480,11 +519,15 @@ class VerdictStore:
         survivors: dict[str, dict] = {}
 
         def absorb() -> None:
+            # Records are read back through the index: one that no
+            # longer verifies is dropped, like any other damaged line.
             for tail in self._tails.values():
                 tail.refresh()
-                for key, record in tail.records.items():
-                    if record.get("engine") == self.engine:
-                        survivors[key] = record
+                for key, entry in tail.index.items():
+                    if entry.engine == self.engine and key not in survivors:
+                        record = tail.read(key, entry)
+                        if record is not None:
+                            survivors[key] = record
 
         absorb()
         compact_path = os.path.join(

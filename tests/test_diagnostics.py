@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import networkx as nx
 
 from repro.analysis.intruder import replayer
@@ -145,3 +149,21 @@ class TestCornerCases:
         dot = to_dot(graph)
         # The initial state is inserted first, so it is s0.
         assert 's0 [shape=doublecircle' in dot
+
+
+class TestImportCost:
+    def test_service_processes_do_not_import_networkx(self):
+        """networkx is imported by to_networkx/statistics on first use,
+        not by every server, worker and client that imports repro."""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code = (
+            "import sys, repro, repro.service.server, repro.runtime.worker; "
+            "print('networkx' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"

@@ -1062,3 +1062,116 @@ class TestAdmissionExpiry:
             assert sheds["doomed"] == "expired"
         finally:
             shutil.rmtree(scratch, ignore_errors=True)
+
+
+# ----------------------------------------------------------------------
+# Event-driven loop: worker pipes and drain requests wake the selector
+# ----------------------------------------------------------------------
+
+#: A tick far above anything these tests wait for: a loop that only
+#: notices worker traffic or a drain request on its tick fails them.
+SLOW_TICK = 2.0
+
+
+def _watched_workers(server):
+    """Identities of the workers whose pipes the server's selector
+    watches (``None`` when the serve thread mutated the map mid-read)."""
+    try:
+        keys = list(server._selector.get_map().values())
+    except RuntimeError:
+        return None
+    return {id(key.data[1]) for key in keys if key.data[0] == "worker"}
+
+
+class TestEventDrivenLoop:
+    SMALL = {"max_states": 400, "max_depth": 24}
+
+    def test_computed_verdict_answered_within_a_tick(self):
+        with running_server(workers=1, tick=SLOW_TICK) as (server, client):
+            warm = client.submit("secrecy", {"zoo": "yahalom"}, id="warm", **self.SMALL)
+            assert warm["status"] == "ok"
+            started = time.monotonic()
+            reply = client.submit("secrecy", {"zoo": "woo-lam"}, id="timed", **self.SMALL)
+            elapsed = time.monotonic() - started
+            assert reply["status"] == "ok"
+            assert elapsed < 1.0, f"verdict waited {elapsed:.2f}s for the loop"
+
+    def test_killed_worker_is_noticed_through_pipe_eof(self):
+        """A worker SIGKILLed mid-job closes its pipe; that EOF wakes the
+        loop, which reaps the worker and re-dispatches the request at
+        once (zero backoff) instead of at the next tick."""
+        with running_server(
+            workers=2, tick=SLOW_TICK, backoff_base=0.0, allow_fault_injection=True,
+        ) as (server, client):
+            # Two concurrent warm-ups, one per worker, so the retry finds
+            # a warm worker instead of waiting for an import.
+            warm = [raw_connect(server.config.socket_path) for _ in range(2)]
+            for index, conn in enumerate(warm):
+                send_frame(conn, {
+                    "v": 1, "id": f"warm-{index}", "kind": "secrecy",
+                    "target": {"zoo": "yahalom"}, **self.SMALL,
+                })
+            for conn in warm:
+                assert recv_frame(conn)["status"] == "ok"
+                conn.close()
+            conn = raw_connect(server.config.socket_path)
+            send_frame(conn, {
+                "v": 1, "id": "victim", "kind": "secrecy",
+                "target": {"zoo": "woo-lam"}, **self.SMALL,
+                # Attempt 1 hangs in its first successor call; the retry
+                # runs clean.
+                "fault_plan": {"latency": 120.0}, "fault_attempts": [1],
+            })
+            [busy] = wait_until(lambda: server.pool.busy())
+            killed_at = time.monotonic()
+            os.kill(busy.pid, signal.SIGKILL)
+            reply = recv_frame(conn)
+            elapsed = time.monotonic() - killed_at
+            conn.close()
+            assert reply["status"] == "ok"
+            assert elapsed < 1.0, f"retry answered {elapsed:.2f}s after the kill"
+            counters = client.status()["metrics"]["counters"]
+            assert counters["service.crashes"] == 1
+
+    def test_selector_watches_exactly_the_live_workers(self):
+        with running_server(workers=2, tick=SLOW_TICK) as (server, client):
+            assert client.ping()["status"] == "pong"
+            wait_until(lambda: server.pool.alive_count() == 2)
+            victim = server.pool.workers()[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            # Reaped and replaced well inside one tick.
+            wait_until(
+                lambda: server.pool.alive_count() == 2
+                and all(w is not victim for w in server.pool.workers()),
+                timeout=1.0,
+            )
+            live = {id(w) for w in server.pool.workers()}
+            wait_until(lambda: _watched_workers(server) == live)
+            assert id(victim) not in _watched_workers(server)
+
+    def test_drain_wakes_an_idle_server(self):
+        scratch = tempfile.mkdtemp(prefix="repro-svc-")
+        sock_path = os.path.join(scratch, "serve.sock")
+        options = dict(socket_path=sock_path, workers=1, **FAST_SERVER)
+        options["tick"] = SLOW_TICK
+        server = Server(ServerConfig(**options))
+        server.bind()
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = ServiceClient(("unix", sock_path), timeout=120.0, retries=0)
+            warm = client.submit("secrecy", {"zoo": "yahalom"}, id="warm", **self.SMALL)
+            assert warm["status"] == "ok"
+            # Idle: the client's hang-up has been served too, so the
+            # loop is waiting on its selector with nothing to do.
+            wait_until(lambda: not server._clients)
+            started = time.monotonic()
+            server.request_drain()
+            thread.join(timeout=60)
+            elapsed = time.monotonic() - started
+            assert not thread.is_alive(), "server failed to drain"
+            assert elapsed < 1.0, f"idle drain took {elapsed:.2f}s"
+        finally:
+            server.request_drain()
+            thread.join(timeout=60)
+            shutil.rmtree(scratch, ignore_errors=True)

@@ -436,6 +436,40 @@ class TestStoreDurability:
         assert reader.lookup("k") is None
         assert reader.stats()["records"] == 0
 
+    def test_record_damaged_after_indexing_is_a_miss(self, tmp_path):
+        """A hit is read from disk and verified at lookup time, so a
+        byte flipped in place (same size: nothing new to tail) after
+        the record was indexed turns the next lookup into a miss — and
+        the next write-through heals it."""
+        result = {"holds": True, "summary": "fine"}
+        with VerdictStore(str(tmp_path)) as store:
+            assert store.put("k", result)
+            assert store.lookup("k") == result
+            [segment] = store._segments()
+            with open(segment, "rb") as handle:
+                position = handle.read().index(b'"fine"') + 1
+            with open(segment, "r+b") as handle:
+                handle.seek(position)
+                handle.write(b"F")
+            assert store.lookup("k") is None
+            assert "k" not in store
+            assert store.put("k", result)
+            assert store.lookup("k") == result
+
+    def test_index_holds_offsets_not_verdicts(self, tmp_path):
+        result = {"holds": False, "witness": {"steps": ["x" * 2000]}}
+        with VerdictStore(str(tmp_path)) as store:
+            assert store.put("k", result)
+            assert store.lookup("k") == result
+            [tail] = store._tails.values()
+            [entry] = tail.index.values()
+            assert [type(field) for field in entry] == [int, int, str]
+            assert entry.engine == engine_version()
+            with open(tail.path, "rb") as handle:
+                handle.seek(entry.offset)
+                line = handle.read(entry.length)
+            assert json.loads(line)["result"] == result
+
 
 # ----------------------------------------------------------------------
 # Key invariance (Hypothesis over the parser-fuzz strategy)
