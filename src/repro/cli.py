@@ -635,17 +635,10 @@ def cmd_cluster(args: argparse.Namespace, out) -> int:
     crashes with backoff, and fails over in-flight requests with
     journal-keyed exactly-once dedupe.  See docs/cluster.md.
     """
-    import signal as _signal
-
     from repro.runtime.lifecycle import drain_signals
-    from repro.service.router import Router, RouterConfig, run_standby
+    from repro.service.router import Router, RouterConfig
 
     host, port = _parse_tcp(args.tcp) if args.tcp is not None else (None, None)
-    chaos = None
-    if args.chaos_plan is not None:
-        from repro.service.chaos import load_chaos_plan
-
-        chaos = load_chaos_plan(args.chaos_plan)
     config = RouterConfig(
         dir=args.dir,
         socket_path=args.socket,
@@ -668,17 +661,9 @@ def cmd_cluster(args: argparse.Namespace, out) -> int:
         respawn_base=args.respawn_base,
         respawn_cap=args.respawn_cap,
         allow_fault_injection=args.allow_fault_injection,
-        chaos=chaos,
-        heartbeat_interval=args.heartbeat_interval,
-        takeover_after=args.takeover_after,
         verdict_store=args.verdict_store,
         cross_check=args.cross_check,
     )
-    if args.standby:
-        print(f"standby watching {args.dir}", file=out, flush=True)
-        code = run_standby(config)
-        print("drained", file=out, flush=True)
-        return code
     router = Router(config)
     router.bind()
     if args.socket is not None:
@@ -687,10 +672,6 @@ def cmd_cluster(args: argparse.Namespace, out) -> int:
         bound_host, bound_port = router.tcp_address
         print(f"listening on tcp:{bound_host}:{bound_port}", file=out, flush=True)
     with drain_signals(on_signal=lambda signum: router.request_drain()):
-        try:
-            _signal.signal(_signal.SIGHUP, lambda *_: router.signal_resize())
-        except (ValueError, OSError, AttributeError):
-            pass  # not the main thread, or no SIGHUP on this platform
         code = router.serve_forever()
     print("drained", file=out, flush=True)
     return code
@@ -715,45 +696,6 @@ def _cluster_router_address(cluster_dir: str) -> Any:
         host, port = router["tcp"]
         return ("tcp", (host, int(port)))
     raise ReproError(f"{path} names no router endpoint")
-
-
-def cmd_cluster_resize(args: argparse.Namespace, out) -> int:
-    """``cluster-resize``: reshard a running cluster to N shards.
-
-    Sends the router a ``resize`` control frame; the router adds (or
-    drains and retires) shards live, remapping only the ring arcs that
-    moved.  Exit codes: 0 resized, 2 unreachable, 3 refused (draining
-    or bad count).
-    """
-    import json
-
-    from repro.service.client import ServiceClient, ServiceUnavailable
-
-    address = _cluster_router_address(args.dir)
-    try:
-        reply = ServiceClient(address, timeout=args.timeout, retries=0).call(
-            {"kind": "resize", "shards": args.shards}
-        )
-    except ServiceUnavailable as err:
-        print(f"error: {err}", file=out)
-        return 2
-    if args.json:
-        print(json.dumps(reply, indent=2, sort_keys=True), file=out)
-    if reply.get("status") != "ok":
-        if not args.json:
-            print(
-                f"refused: {reply.get('error', reply.get('status'))}", file=out
-            )
-        return 3
-    resize = reply.get("resize") or {}
-    if not args.json:
-        print(
-            f"resized to {resize.get('shards', args.shards)} shard(s): "
-            f"added {sorted(resize.get('added', []))}, "
-            f"removed {sorted(resize.get('removed', []))}",
-            file=out,
-        )
-    return 0
 
 
 def cmd_cluster_status(args: argparse.Namespace, out) -> int:
@@ -782,15 +724,14 @@ def cmd_cluster_status(args: argparse.Namespace, out) -> int:
     cluster = reply.get("cluster") or {}
     ring = reply.get("ring") or {}
     print(
-        f"router pid {cluster.get('pid')} role {cluster.get('role', 'primary')}"
+        f"router pid {cluster.get('pid')}"
         f" uptime {cluster.get('uptime', 0):.1f}s"
         f" draining={cluster.get('draining')}",
         file=out,
     )
     print(
         f"shards {cluster.get('healthy', 0)}/{cluster.get('shards', 0)} healthy"
-        f" (ring members: {', '.join(ring.get('members', [])) or 'none'};"
-        f" retired: {', '.join(cluster.get('retired', [])) or 'none'})",
+        f" (ring members: {', '.join(ring.get('members', [])) or 'none'})",
         file=out,
     )
     crosscheck = reply.get("crosscheck")
@@ -814,7 +755,7 @@ def cmd_cluster_status(args: argparse.Namespace, out) -> int:
         breaker = (health.get("breaker") or {}).get("state", "?")
         error = health.get("last_error") or ""
         rows.append((
-            shard_id + (" (retiring)" if shard.get("retiring") else ""),
+            shard_id,
             str(shard.get("address", "?")),
             str(shard.get("pid", "-")),
             str(shard.get("alive", "-")),
@@ -971,15 +912,10 @@ def cmd_submit(args: argparse.Namespace, out) -> int:
     import json
 
     from repro.runtime.deadline import Deadline
-    from repro.service.client import ServiceClient, cluster_addresses
+    from repro.service.client import ServiceClient
 
-    refresh = None
     if args.cluster is not None:
         address = _cluster_router_address(args.cluster)
-        # Follow the topology between retries: a standby takeover
-        # rewrites cluster.json, and a client pinned to the dead
-        # primary's address would burn its whole retry budget there.
-        refresh = lambda: cluster_addresses(args.cluster)  # noqa: E731
     elif args.socket is not None:
         address = ("unix", args.socket)
     elif args.tcp is not None:
@@ -989,8 +925,7 @@ def cmd_submit(args: argparse.Namespace, out) -> int:
             "submit needs --socket PATH, --tcp HOST:PORT, or --cluster DIR"
         )
     client = ServiceClient(
-        address, timeout=args.timeout, retries=args.connect_retries,
-        refresh=refresh,
+        address, timeout=args.timeout, retries=args.connect_retries
     )
     deadline = Deadline.after(args.deadline) if args.deadline is not None else None
     if args.kind in ("ping", "status"):
@@ -1458,36 +1393,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="test instrumentation: shards accept fault_plan fields",
     )
     p_cluster.add_argument(
-        "--chaos-plan", default=None, metavar="FILE",
-        help="test instrumentation: interpose a deterministic network "
-        "fault-injection proxy on every router->shard hop, driven by "
-        "this JSON NetFaultPlan schedule (see docs/chaos.md; requires "
-        "--allow-fault-injection)",
-    )
-    p_cluster.add_argument(
-        "--standby",
-        action="store_true",
-        help="run as a warm spare instead of the primary: watch the "
-        "primary's heartbeat in DIR/cluster.json and take over its "
-        "shards when it dies (see docs/cluster.md)",
-    )
-    p_cluster.add_argument(
-        "--heartbeat-interval", type=float, default=1.0, metavar="SECONDS",
-        help="how often the primary refreshes the discovery heartbeat "
-        "(default 1)",
-    )
-    p_cluster.add_argument(
-        "--takeover-after", type=float, default=5.0, metavar="SECONDS",
-        help="standby only: heartbeat staleness that triggers the "
-        "ping-confirmed takeover (default 5)",
-    )
-    p_cluster.add_argument(
         "--verdict-store",
         default=None,
         metavar="DIR",
         help="one shared persistent verdict-cache directory passed to "
-        "every shard: cluster-wide repeat traffic, failover re-drives "
-        "and resharding moves become store hits (see docs/store.md)",
+        "every shard: cluster-wide repeat traffic and failover "
+        "re-drives become store hits (see docs/store.md)",
     )
     p_cluster.add_argument(
         "--cross-check",
@@ -1500,28 +1411,6 @@ def build_parser() -> argparse.ArgumentParser:
         "quarantines the protocol (see docs/cluster.md)",
     )
     p_cluster.set_defaults(handler=cmd_cluster)
-
-    p_resize = sub.add_parser(
-        "cluster-resize",
-        help="reshard a running cluster to N shards (live, minimal remap)",
-    )
-    p_resize.add_argument(
-        "dir", metavar="DIR",
-        help="cluster working directory (the router address is read "
-        "from its cluster.json)",
-    )
-    p_resize.add_argument(
-        "shards", type=int, metavar="N", help="target local shard count"
-    )
-    p_resize.add_argument(
-        "--timeout", type=float, default=120.0, metavar="SECONDS",
-        help="how long to wait for the resize to complete (default 120; "
-        "a shrink drains the retiring shards first)",
-    )
-    p_resize.add_argument(
-        "--json", action="store_true", help="print the raw response frame"
-    )
-    p_resize.set_defaults(handler=cmd_cluster_resize)
 
     p_cstatus = sub.add_parser(
         "cluster-status",

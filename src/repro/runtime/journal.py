@@ -224,17 +224,6 @@ class JournalIndex:
         """Has ``job_id`` a journaled verdict already?"""
         return self.result(job_id) is not None
 
-    def ids(self) -> frozenset[str]:
-        """Every job id with a journaled verdict (refreshes first).
-
-        This is what a standby router rebuilds its completed-work
-        picture from after adopting a fleet: anything a client re-drives
-        that is *not* in some shard's ``ids()`` genuinely never
-        finished.
-        """
-        self.refresh()
-        return frozenset(self._results)
-
     def records(self) -> dict[str, dict]:
         """Job id -> latest ``result`` record (refreshes first; the
         returned dict is a snapshot copy)."""

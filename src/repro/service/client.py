@@ -24,9 +24,9 @@ discipline a robust caller wants baked in:
   budget, and a sleep that *would* consume the entire remainder is not
   taken at all: the client fails fast instead of waking up expired;
 * **address failover** — constructed with a *list* of addresses (a
-  router and its standby, say) the client rotates to the next endpoint
-  after a connection-level failure, so one dead listener costs a
-  rotation, not the whole retry budget.
+  server's Unix socket and its TCP port, say) the client rotates to
+  the next endpoint after a connection-level failure, so one dead
+  listener costs a rotation, not the whole retry budget.
 
 One connection per call: requests are rare and heavy (seconds of
 verification), so connection reuse buys nothing and per-call sockets
@@ -67,34 +67,6 @@ def parse_address(spec: str) -> tuple[str, Any]:
     return ("unix", spec)
 
 
-def cluster_addresses(cluster_dir: str) -> list[tuple[str, Any]]:
-    """The router endpoints currently advertised by a cluster
-    directory's ``cluster.json`` — Unix socket first, TCP second.
-
-    Returns ``[]`` when the file is missing, partial, or unreadable
-    (discovery is advisory: the caller keeps its last-known list).
-    Suitable directly as a :class:`ServiceClient` ``refresh`` source:
-    ``ServiceClient(addrs, refresh=lambda: cluster_addresses(dir))``.
-    """
-    import json
-    import os
-
-    path = os.path.join(cluster_dir, "cluster.json")
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, ValueError):
-        return []
-    router = data.get("router") or {}
-    addresses: list[tuple[str, Any]] = []
-    if router.get("socket"):
-        addresses.append(("unix", router["socket"]))
-    if router.get("tcp"):
-        host, port = router["tcp"]
-        addresses.append(("tcp", (host, int(port))))
-    return addresses
-
-
 class ServiceClient:
     """Blocking client with retry/backoff/jitter.
 
@@ -119,7 +91,6 @@ class ServiceClient:
         backoff_cap: float = 2.0,
         jitter: Optional[Callable[[], float]] = None,
         sleep: Callable[[float], None] = time.sleep,
-        refresh: Optional[Callable[[], Any]] = None,
     ) -> None:
         specs = address if isinstance(address, list) else [address]
         if not specs:
@@ -134,16 +105,6 @@ class ServiceClient:
         self.backoff_cap = backoff_cap
         self.jitter = jitter if jitter is not None else random.random
         self.sleep = sleep
-        #: Optional discovery source re-consulted after connection-level
-        #: failures: a callable returning the *current* address list (or
-        #: ``None``/empty to keep the present one).  With a static list
-        #: the client can only rotate among the endpoints it was born
-        #: with — after a standby-router takeover rewrites
-        #: ``cluster.json``, that list points exclusively at the dead
-        #: primary.  ``refresh`` is how a running client follows the
-        #: topology instead of restarting (see
-        #: :func:`cluster_addresses`).
-        self.refresh = refresh
 
     # -- transport -----------------------------------------------------
 
@@ -154,28 +115,6 @@ class ServiceClient:
 
     def _rotate(self) -> None:
         self._cursor = (self._cursor + 1) % len(self.addresses)
-
-    def _refresh_or_rotate(self) -> None:
-        """After a connection-level failure: re-read discovery if we
-        can; fall back to plain rotation when discovery is unavailable,
-        unreadable, or unchanged."""
-        if self.refresh is not None:
-            try:
-                specs = self.refresh()
-            except Exception:
-                specs = None
-            if specs:
-                if not isinstance(specs, list):
-                    specs = [specs]
-                fresh = [
-                    parse_address(spec) if isinstance(spec, str) else spec
-                    for spec in specs
-                ]
-                if fresh and fresh != self.addresses:
-                    self.addresses = fresh
-                    self._cursor = 0
-                    return
-        self._rotate()
 
     def _connect(self, timeout: float) -> socket.socket:
         family, target = self.address
@@ -231,10 +170,10 @@ class ServiceClient:
                 reply = self._attempt(message, timeout)
             except ServiceUnavailable as err:
                 last_error = str(err)
-                self._refresh_or_rotate()
+                self._rotate()
             except _RETRIABLE as err:
                 last_error = f"{type(err).__name__}: {err}"
-                self._refresh_or_rotate()
+                self._rotate()
             else:
                 if reply.get("status") != "overloaded":
                     # Terminal for this call: only a shed burst is worth

@@ -134,9 +134,6 @@ class HealthMonitor:
         health.address = address
         return health
 
-    def forget(self, shard_id: str) -> None:
-        self._shards.pop(shard_id, None)
-
     def healthy(self, shard_id: str) -> bool:
         health = self._shards.get(shard_id)
         return health is not None and health.healthy

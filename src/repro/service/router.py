@@ -27,26 +27,21 @@ them look like a single verification service that survives shard death:
   new requests with ``draining``, waits (bounded) for in-flight
   forwards, SIGTERMs every local shard so each runs its own journal-
   flushing drain, and exits 0;
-* **router redundancy** — the primary stamps a heartbeat into
-  ``cluster.json``; a :class:`Standby` (``cluster --standby``) watches
-  it, confirms primary death with pings, then adopts the orphaned shard
-  processes by pid, rebuilds the completed-work picture from the shard
-  journals, binds its own listeners, and rewrites discovery so
-  refreshing clients follow (see the :class:`Standby` docstring);
-* **live resharding** — ``SIGHUP`` (reading ``DIR/resize.json``) or a
-  ``{"kind": "resize", "shards": N}`` control frame grows/shrinks the
-  local fleet at runtime; the consistent-hash ring moves only the
-  remapped arcs, a shrinking shard drains its in-flight work and
-  retires with its journal kept as a dedupe oracle;
-* **network chaos** (tests) — with ``--chaos-plan`` every router->shard
-  hop runs through a seeded fault-injecting proxy
-  (:mod:`repro.service.chaos`).
+* **sole ownership of the shards** — every local shard is spawned with
+  ``PR_SET_PDEATHSIG`` (see :class:`~repro.service.shards.LocalShard`),
+  so a router that dies, even by ``kill -9``, takes its shards and
+  their workers with it; a restarted router on the same ``--dir``
+  respawns the fleet, and the shard journals keep every verdict
+  exactly once across the restart.
 
 Concurrency model: the router is I/O-bound glue, not a compute engine,
 so it uses one blocking thread per client connection (requests are rare
 and heavy — seconds of verification each) around a small locked core
 (ring membership, in-flight registry).  The main thread runs the
-supervision loop: accept, respawn, health sweep, drain.
+supervision loop: accept, respawn, health sweep, drain.  That loop is
+the only place shards are spawned, which matters because the kernel
+sends the parent-death signal when the spawning *thread* exits, not
+the process.
 """
 
 from __future__ import annotations
@@ -62,7 +57,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Any, Optional
 
 from repro.core.errors import ReproError
 from repro.obs.metrics import Metrics, current_metrics
@@ -148,22 +143,11 @@ class RouterConfig:
     allow_fault_injection: bool = False
     tick: float = 0.05
     python: str = sys.executable
-    #: Optional :class:`~repro.service.chaos.ChaosPlan`: every
-    #: router->shard hop (forwards *and* health probes) is run through a
-    #: seeded fault-injecting proxy.  Requires ``allow_fault_injection``
-    #: — chaos is a test instrument, never a production accident.
-    chaos: Optional[Any] = None
-    #: How often the primary stamps a liveness heartbeat into
-    #: ``cluster.json`` (what a standby watches).
-    heartbeat_interval: float = 1.0
-    #: How long a standby tolerates a stale heartbeat before it starts
-    #: confirming primary death with pings.
-    takeover_after: float = 5.0
     #: One shared persistent :class:`~repro.service.store.VerdictStore`
     #: directory passed to every local shard (``cluster
-    #: --verdict-store``): repeat traffic, failover re-drives, and
-    #: resharding moves become store hits on whichever shard the ring
-    #: picks, across router restarts.
+    #: --verdict-store``): repeat traffic and failover re-drives become
+    #: store hits on whichever shard the ring picks, across router
+    #: restarts.
     verdict_store: Optional[str] = None
     #: Fraction (0..1) of ``ok`` non-violated verdicts re-run on a
     #: dedicated cross-check shard that computes with ``--reduce none
@@ -186,13 +170,6 @@ class _Shard:
     journal: Optional[JournalIndex] = None
     inflight: set = field(default_factory=set)
     exit_handled: bool = False
-    #: Chaos proxy on this hop (``--chaos-plan``) and the address the
-    #: router actually dials — the proxy's listener when present.
-    proxy: Optional[Any] = None
-    via: Optional[Any] = None
-    #: Set while a resize is draining this shard out of the fleet: the
-    #: supervisor must not respawn it, new keys no longer map to it.
-    retiring: bool = False
     #: Serializes JournalIndex access (several forwarding threads can
     #: dedupe against the same journal at once; the index's offset
     #: bookkeeping is not re-entrant).
@@ -201,10 +178,6 @@ class _Shard:
     @property
     def id(self) -> str:
         return self.spec.id
-
-    @property
-    def route_address(self) -> Any:
-        return self.via if self.via is not None else self.spec.address
 
     def journaled(self, job_id: str) -> Optional[dict]:
         """Thread-safe journal lookup."""
@@ -239,18 +212,11 @@ class Router:
     """See the module docstring; constructed from a
     :class:`RouterConfig`, driven by :meth:`serve_forever`."""
 
-    def __init__(
-        self, config: RouterConfig, adopt: Optional[Mapping[str, dict]] = None
-    ) -> None:
+    def __init__(self, config: RouterConfig) -> None:
         if config.socket_path is None and config.port is None:
             raise ClusterError("cluster needs a unix socket path and/or a TCP port")
-        if config.shards < 1 and not config.remote and not adopt:
+        if config.shards < 1 and not config.remote:
             raise ClusterError("cluster needs local shards (--shards) or --remote")
-        if config.chaos is not None and not config.allow_fault_injection:
-            raise ClusterError(
-                "--chaos-plan requires --allow-fault-injection (chaos is a "
-                "test instrument)"
-            )
         self.config = config
         self.metrics = Metrics()
         self._rng = random.Random()
@@ -261,14 +227,8 @@ class Router:
             cooldown=config.health_cooldown,
             jitter=self._rng.random,
         )
-        #: "primary", or "standby-promoted" after a takeover.
-        self.role = "primary" if adopt is None else "standby-promoted"
-        self._adopt = dict(adopt) if adopt is not None else None
         self._lock = threading.RLock()
         self._shards: dict[str, _Shard] = {}
-        #: Shards removed by a resize; their journals stay live as
-        #: dedupe oracles for keys that moved off them.
-        self._retired: dict[str, _Shard] = {}
         self._ring = HashRing(vnodes=config.vnodes)
         self._build_shards()
         self._selector = selectors.DefaultSelector()
@@ -277,11 +237,6 @@ class Router:
         self._threads: list[threading.Thread] = []
         self._drain = threading.Event()
         self._draining = False
-        self._aborted = False
-        self._resize_lock = threading.Lock()
-        self._resize_flag = threading.Event()
-        self._hb_seq = 0
-        self._next_heartbeat = 0.0
         self._started_at = time.monotonic()
         self._bound = False
         self.tcp_address: Optional[tuple[str, int]] = None
@@ -308,35 +263,10 @@ class Router:
 
     # -- construction --------------------------------------------------
 
-    def _shard_index(self, shard_id: str) -> int:
-        try:
-            return int(shard_id.rsplit("-", 1)[1])
-        except (IndexError, ValueError):
-            return -1
-
-    def _attach_chaos(self, shard: _Shard) -> None:
-        """Interpose this shard's hop proxy when the chaos plan says so
-        (created here, started in :meth:`bind`)."""
-        if self.config.chaos is None:
-            return
-        plan = self.config.chaos.plan_for(shard.id)
-        if plan is None:
-            return
-        from repro.service.chaos import ChaosProxy
-
-        listen = os.path.join(self.config.dir, f"{shard.id}.chaos.sock")
-        shard.proxy = ChaosProxy(
-            upstream=shard.spec.address, plan=plan, listen_path=listen,
-            name=shard.id,
-        )
-        shard.via = ("unix", listen)
-
-    def _make_local_shard(
-        self, shard_id: str, adopted_pid: Optional[int] = None
-    ) -> _Shard:
+    def _make_local_shard(self, shard_id: str) -> _Shard:
         """One local shard wired by directory convention — the same
-        convention a primary used, which is what lets a standby (or a
-        resize) reconstruct the fleet from ``--dir`` alone."""
+        convention on every start, which is what lets a router restarted
+        on the same ``--dir`` find the journals of the fleet it lost."""
         cfg = self.config
         sock = os.path.join(cfg.dir, f"{shard_id}.sock")
         journal = os.path.join(cfg.dir, f"{shard_id}.jsonl")
@@ -360,17 +290,14 @@ class Router:
             python=cfg.python,
             verdict_store=cfg.verdict_store,
         )
-        shard = _Shard(
+        return _Shard(
             spec=spec,
             process=LocalShard(
                 spec=spec, argv=argv,
                 log_path=os.path.join(cfg.dir, f"{shard_id}.log"),
-                adopted_pid=adopted_pid,
             ),
             journal=JournalIndex(journal),
         )
-        self._attach_chaos(shard)
-        return shard
 
     def _make_xcheck_shard(self) -> _Shard:
         """The cross-check shard: one supervised serve process kept
@@ -423,37 +350,19 @@ class Router:
             address=parse_address(address) if isinstance(address, str) else address,
             local=False,
         )
-        shard = _Shard(spec=spec)
-        self._attach_chaos(shard)
-        return shard
+        return _Shard(spec=spec)
 
     def _build_shards(self) -> None:
         cfg = self.config
         os.makedirs(cfg.dir, exist_ok=True)
-        if self._adopt is not None:
-            # Standby takeover: reconstruct the *discovered* topology
-            # (which may have been resized away from cfg.shards) and
-            # adopt still-breathing shard processes by pid instead of
-            # respawning them under their feet.
-            for shard_id, info in sorted(self._adopt.items()):
-                if info.get("local", True):
-                    pid = info.get("pid")
-                    self._shards[shard_id] = self._make_local_shard(
-                        shard_id, adopted_pid=int(pid) if pid else None
-                    )
-                else:
-                    self._shards[shard_id] = self._make_remote_shard(
-                        shard_id, info.get("address")
-                    )
-        else:
-            for index in range(cfg.shards):
-                shard_id = f"shard-{index:02d}"
-                self._shards[shard_id] = self._make_local_shard(shard_id)
-            for index, address in enumerate(cfg.remote):
-                shard_id = f"remote-{index:02d}"
-                self._shards[shard_id] = self._make_remote_shard(shard_id, address)
+        for index in range(cfg.shards):
+            shard_id = f"shard-{index:02d}"
+            self._shards[shard_id] = self._make_local_shard(shard_id)
+        for index, address in enumerate(cfg.remote):
+            shard_id = f"remote-{index:02d}"
+            self._shards[shard_id] = self._make_remote_shard(shard_id, address)
         for shard in self._shards.values():
-            self.health.watch(shard.id, shard.route_address)
+            self.health.watch(shard.id, shard.spec.address)
         self._rebuild_ring()
 
     def _rebuild_ring(self) -> None:
@@ -466,9 +375,6 @@ class Router:
         if self._bound:
             return
         cfg = self.config
-        for shard in self._shards.values():
-            if shard.proxy is not None:
-                shard.proxy.start()
         if cfg.socket_path is not None:
             if os.path.exists(cfg.socket_path):
                 os.unlink(cfg.socket_path)
@@ -507,28 +413,16 @@ class Router:
         """Ask the cluster to drain (thread- and signal-safe)."""
         self._drain.set()
 
-    def abort(self) -> None:
-        """Die ungracefully (tests): leave ``serve_forever`` without
-        draining, terminating, or even closing the shard processes —
-        the in-process equivalent of ``kill -9`` on the router, which
-        shards (own sessions) survive as adoptable orphans."""
-        self._aborted = True
-        self._drain.set()
-
-    def signal_resize(self) -> None:
-        """SIGHUP entry point: re-read ``resize.json`` on the next loop
-        tick (signal- and thread-safe)."""
-        self._resize_flag.set()
-
     @property
     def draining(self) -> bool:
-        return (self._draining or self._drain.is_set()) and not self._aborted
+        return self._draining or self._drain.is_set()
 
     def _warm_journals(self) -> None:
-        """Prime every shard's JournalIndex.  For a promoted standby
-        this *is* the state rebuild: the union of the journals is the
-        completed-work picture, and anything a retrying client re-drives
-        that no journal knows genuinely never finished."""
+        """Prime every shard's JournalIndex.  For a router restarted on
+        the same ``--dir`` this *is* the state rebuild: the union of the
+        journals is the completed-work picture, and anything a retrying
+        client re-drives that no journal knows genuinely never
+        finished."""
         for shard in self._shards.values():
             if shard.journal is not None:
                 with shard.journal_lock:
@@ -553,20 +447,13 @@ class Router:
                 now = time.monotonic()
                 self._supervise(now)
                 self._sweep_health(now)
-                if self._resize_flag.is_set():
-                    self._resize_flag.clear()
-                    self._resize_from_file()
-                if now >= self._next_heartbeat:
-                    self._next_heartbeat = now + self.config.heartbeat_interval
-                    self.write_discovery()
                 with self._lock:
                     self.metrics.set_gauge(
                         "cluster.inflight",
                         sum(len(s.inflight) for s in self._shards.values()),
                     )
                     self.metrics.set_gauge("cluster.live_shards", len(self._ring))
-            if not self._aborted:
-                self._drain_cluster()
+            self._drain_cluster()
         finally:
             self._shutdown()
         return 0
@@ -615,10 +502,6 @@ class Router:
     def handle_frame(self, frame: dict) -> dict:
         """Answer one request frame (control inline, the rest routed)."""
         self.metrics.inc("cluster.requests")
-        if isinstance(frame, dict) and frame.get("kind") == "resize":
-            # Router-only control verb: the shard protocol would reject
-            # it, so it is handled before parse_request.
-            return self._handle_resize_frame(frame)
         try:
             request = parse_request(frame)
         except ProtocolError as err:
@@ -676,10 +559,10 @@ class Router:
         # the router dedupes on during failover.
         outbound = dict(frame)
         outbound["id"] = request.id
-        # Pre-forward idempotency check across *every* journal (current
-        # and retired): a promoted standby — or a primary whose client
-        # retried after a dropped reply — must serve the verdict the
-        # fleet already computed, not compute it again.  Only ``ok``
+        # Pre-forward idempotency check across *every* journal: a router
+        # restarted on the same --dir — or one whose client retried
+        # after a dropped reply — must serve the verdict the fleet
+        # already computed, not compute it again.  Only ``ok``
         # verdicts dedupe here; a journaled *fault* stays retryable.
         cached = self._dedupe_lookup(request.id)
         if cached is not None:
@@ -771,10 +654,9 @@ class Router:
         with self._lock:
             if job_id is not None:
                 # Sticky duplicate routing: if some shard is *currently*
-                # computing this id (a concurrent duplicate, or a key
-                # mid-move during a resize), pin to it — the shard-side
-                # coalescer turns the duplicate into a second reply to
-                # the same single computation.
+                # computing this id (a concurrent duplicate), pin to it —
+                # the shard-side coalescer turns the duplicate into a
+                # second reply to the same single computation.
                 for shard in self._shards.values():
                     if shard.id not in tried and job_id in shard.inflight:
                         return shard
@@ -790,17 +672,20 @@ class Router:
                 for shard in self._shards.values():
                     if shard.id not in tried and shard.known_result(job_id):
                         return shard
-                # Journal-claim pinning: this router's in-flight books
-                # are blind to work a *dead predecessor* forwarded — a
-                # promoted standby starts with empty `inflight` sets
-                # while a shard may be seconds from verdicting the very
-                # id a client just re-drove.  Shards journal a ``claim``
-                # at admission (see server._handle_frame), so an
-                # unresolved claim marks the shard that owns the
-                # computation: route the duplicate there and let its
-                # coalescer absorb it.  Newest claim wins — an older
-                # unresolved claim is the corpse of an incarnation that
-                # died mid-compute, not a live computation.
+                # Journal-claim pinning: the in-flight books are empty
+                # for an id whose forward failed in *transport* — the
+                # claim-wait in _route re-drives it, and a client retry
+                # can arrive meanwhile — yet the shard may still be
+                # computing it.  That shard is often ejected by the
+                # very failure, so the ring would send the re-drive to
+                # a successor that computes the job a second time.
+                # Shards journal a ``claim`` at admission (see
+                # server._handle_frame), so an unresolved claim marks
+                # the shard that owns the computation: route the
+                # duplicate there and let its coalescer absorb it.
+                # Newest claim wins — an older unresolved claim is the
+                # corpse of an incarnation that died mid-compute, not a
+                # live computation.
                 best: Optional[tuple[float, str, _Shard]] = None
                 for shard in self._shards.values():
                     if shard.id in tried:
@@ -832,15 +717,15 @@ class Router:
         if request.deadline is not None:
             # No point outliving the shard's own budget by much.
             timeout = min(timeout, request.deadline + 30.0)
-        client = ServiceClient(shard.route_address, timeout=timeout, retries=0)
+        client = ServiceClient(shard.spec.address, timeout=timeout, retries=0)
         return client.call(dict(frame))
 
     def _dedupe_lookup(self, job_id: str) -> Optional[dict]:
-        """Scan every journal (live and retired shards) for an ``ok``
-        verdict under ``job_id``.  Lookups are incremental (byte-offset
-        tailing), so this is a stat per shard, not a re-read."""
+        """Scan every shard's journal for an ``ok`` verdict under
+        ``job_id``.  Lookups are incremental (byte-offset tailing), so
+        this is a stat per shard, not a re-read."""
         with self._lock:
-            shards = list(self._shards.values()) + list(self._retired.values())
+            shards = list(self._shards.values())
         for shard in shards:
             record = shard.journaled(job_id)
             if record is not None and record.get("status") == "ok":
@@ -858,12 +743,12 @@ class Router:
         *any* shard already journaled is the answer — re-driving it
         would recompute (and double-journal) completed work.  The sweep
         covers the whole fleet, not just the shard that failed, because
-        under chaos the computation routinely lands somewhere other
-        than the hop that ate the reply: a reset drops the answer after
-        the shard journaled it, and the claim-wait re-drive may then
-        fail on a *different* connection fault."""
+        the computation can land somewhere other than the hop that lost
+        the reply: a connection can drop after the shard journaled the
+        answer, and the claim-wait re-drive may then fail on a
+        *different* connection."""
         with self._lock:
-            shards = list(self._shards.values()) + list(self._retired.values())
+            shards = list(self._shards.values())
         for shard in shards:
             record = shard.journaled(job_id)
             if record is not None:
@@ -1002,7 +887,7 @@ class Router:
             shards.append(self._xcheck)
         for shard in shards:
             process = shard.process
-            if process is None or shard.retiring:
+            if process is None:
                 continue
             if process.alive():
                 continue
@@ -1036,6 +921,9 @@ class Router:
                 shard.exit_handled = False
                 self.metrics.inc("cluster.respawns")
                 trace_event("cluster.respawn", shard=shard.id, pid=process.pid)
+                # cluster.json names the live pids: a router kill -9
+                # check reads them to prove no shard outlived it.
+                self.write_discovery()
 
     def _sweep_health(self, now: float) -> None:
         transitions = self.health.sweep(now)
@@ -1054,162 +942,6 @@ class Router:
         self._rebuild_ring()
         self.write_discovery()
 
-    # -- live resharding -----------------------------------------------
-
-    def _handle_resize_frame(self, frame: dict) -> dict:
-        rid = frame.get("id")
-        if self.draining:
-            return protocol.response(
-                rid, protocol.DRAINING, error="cluster is draining"
-            )
-        try:
-            count = int(frame.get("shards"))
-        except (TypeError, ValueError):
-            return protocol.response(
-                rid, protocol.ERROR, error="resize needs an integer 'shards' count"
-            )
-        try:
-            summary = self.resize(count)
-        except ClusterError as err:
-            return protocol.response(rid, protocol.ERROR, error=str(err))
-        return protocol.response(rid, protocol.OK, resize=summary)
-
-    def _resize_from_file(self) -> None:
-        """The SIGHUP path: target count read from ``DIR/resize.json``
-        (``{"shards": N}``)."""
-        path = os.path.join(self.config.dir, "resize.json")
-        try:
-            with open(path, encoding="utf-8") as handle:
-                count = int(json.load(handle).get("shards"))
-        except (OSError, ValueError, TypeError, AttributeError):
-            trace_event("cluster.resize_bad_file", path=path)
-            return
-        try:
-            self.resize(count)
-        except ClusterError as err:
-            trace_event("cluster.resize_refused", error=str(err))
-
-    def resize(self, count: int) -> dict:
-        """Grow or shrink the local fleet to ``count`` shards, live.
-
-        Growing: new (or previously retired) shard ids spawn, join the
-        health watch, and enter the ring — ``HashRing``'s minimal-remap
-        property means only the arcs the newcomers take over move; every
-        other key keeps its owner, journal, and breaker history.
-        Requests that race a still-booting newcomer ride the ordinary
-        failover path.
-
-        Shrinking: the highest-numbered local shards leave the ring
-        first (new keys remap off them immediately), then only *their*
-        in-flight work is drained (bounded by ``drain_grace``) before
-        each gets a journal-flushing SIGTERM.  The retired shard's
-        journal stays open as a dedupe oracle, so a key that moved
-        cannot be recomputed on its new owner if the old one already
-        verdicted it.
-        """
-        if count < 1:
-            raise ClusterError(f"cannot resize to {count}: need >= 1 local shard")
-        with self._resize_lock:
-            with self._lock:
-                local_ids = sorted(
-                    sid for sid, s in self._shards.items() if s.spec.local
-                )
-            added: list[str] = []
-            removed: list[str] = []
-            if count > len(local_ids):
-                added = self._grow(count - len(local_ids))
-            elif count < len(local_ids):
-                removed = self._shrink(local_ids[count:])
-            summary = {"shards": count, "added": added, "removed": removed}
-            if added or removed:
-                self.metrics.inc("cluster.resizes")
-                trace_event("cluster.resize", **summary)
-                self.write_discovery()
-            return summary
-
-    def _grow(self, extra: int) -> list[str]:
-        added: list[str] = []
-        for _ in range(extra):
-            with self._lock:
-                revivable = sorted(self._retired)
-                if revivable:
-                    shard_id = revivable[0]
-                    shard = self._retired.pop(shard_id)
-                    shard.retiring = False
-                    if shard.proxy is None:
-                        self._attach_chaos(shard)
-                else:
-                    taken = [
-                        self._shard_index(sid)
-                        for sid in list(self._shards) + list(self._retired)
-                        if sid.startswith("shard-")
-                    ]
-                    shard_id = f"shard-{(max(taken, default=-1) + 1):02d}"
-                    shard = self._make_local_shard(shard_id)
-                self._shards[shard_id] = shard
-            if shard.proxy is not None:
-                shard.proxy.start()
-            if shard.process is not None:
-                shard.process.fail_streak = 0
-                shard.process.spawn()
-                shard.exit_handled = False
-                self.metrics.inc("cluster.spawns")
-                trace_event(
-                    "cluster.spawn", shard=shard_id, pid=shard.process.pid
-                )
-            self.health.watch(shard_id, shard.route_address)
-            added.append(shard_id)
-        self._rebuild_ring()
-        return added
-
-    def _shrink(self, victim_ids: list[str]) -> list[str]:
-        victims: list[_Shard] = []
-        with self._lock:
-            for shard_id in victim_ids:
-                shard = self._shards.get(shard_id)
-                if shard is None or not shard.spec.local:
-                    continue
-                shard.retiring = True
-                victims.append(shard)
-        # Out of the ring first: new requests for moved keys go to the
-        # survivors from this point on.
-        for shard in victims:
-            self.health.forget(shard.id)
-        self._rebuild_ring()
-        self.write_discovery()
-        # Drain only the moved keys: whatever the victims were already
-        # computing is allowed to finish (their verdicts land in the
-        # retained journals).
-        deadline = time.monotonic() + self.config.drain_grace
-        while time.monotonic() < deadline:
-            with self._lock:
-                if not any(s.inflight for s in victims):
-                    break
-            time.sleep(self.config.tick)
-        for shard in victims:
-            if shard.process is not None:
-                shard.process.terminate()
-        grace = self.config.shard_drain_grace + 5.0
-        removed: list[str] = []
-        for shard in victims:
-            process = shard.process
-            if process is not None:
-                if process.wait(grace) is None:
-                    process.kill()
-                    process.wait(5.0)
-                process.close()
-            if shard.proxy is not None:
-                shard.proxy.stop()
-                shard.proxy = None
-                shard.via = None
-            with self._lock:
-                self._shards.pop(shard.id, None)
-                self._retired[shard.id] = shard
-            self.metrics.inc("cluster.shards_retired")
-            trace_event("cluster.shard_retired", shard=shard.id)
-            removed.append(shard.id)
-        return removed
-
     # -- observability -------------------------------------------------
 
     def status(self) -> dict:
@@ -1225,14 +957,9 @@ class Router:
                     "alive": process.alive() if process is not None else None,
                     "restarts": process.restarts if process is not None else 0,
                     "inflight": len(shard.inflight),
-                    "retiring": shard.retiring,
                     "health": health_rows.get(shard.id),
-                    "chaos": (
-                        shard.proxy.snapshot() if shard.proxy is not None else None
-                    ),
                 }
             members = sorted(self._ring.members)
-            retired = sorted(self._retired)
             crosscheck = None
             if self._xcheck_board is not None:
                 process = self._xcheck.process if self._xcheck else None
@@ -1260,12 +987,10 @@ class Router:
         payload = {
             "cluster": {
                 "pid": os.getpid(),
-                "role": self.role,
                 "draining": self.draining,
                 "uptime": round(time.monotonic() - self._started_at, 3),
                 "shards": len(shard_rows),
                 "healthy": len(members),
-                "retired": retired,
             },
             "shards": shard_rows,
             "ring": {"vnodes": self.config.vnodes, "members": members},
@@ -1276,11 +1001,9 @@ class Router:
         return payload
 
     def write_discovery(self) -> None:
-        """Publish ``cluster.json``: where the router listens, its
-        liveness heartbeat (what a standby watches), and which shards
-        exist with their pids (what a standby adopts) — ``submit
-        --cluster DIR`` reads the router endpoints."""
-        self._hb_seq += 1
+        """Publish ``cluster.json``: where the router listens and which
+        shards exist with their journals and pids — ``submit --cluster
+        DIR`` and ``cluster-status DIR`` read the router endpoints."""
         with self._lock:
             shard_map = {
                 shard.id: {
@@ -1298,8 +1021,6 @@ class Router:
                 "socket": self.config.socket_path,
                 "tcp": list(self.tcp_address) if self.tcp_address else None,
                 "pid": os.getpid(),
-                "role": self.role,
-                "heartbeat": {"seq": self._hb_seq, "time": time.time()},
             },
             "shards": shard_map,
         }
@@ -1377,16 +1098,8 @@ class Router:
                 conn.close()
             except OSError:
                 pass
-        for shard in list(self._shards.values()) + list(self._retired.values()):
-            if shard.proxy is not None:
-                shard.proxy.stop()
         if self._xcheck_queue is not None:
             self._xcheck_queue.put(None)
-        if self._aborted:
-            # Simulated router death: the shards are deliberately left
-            # running (and discovery untouched) for a standby to adopt.
-            self._selector.close()
-            return
         fleet = list(self._shards.values())
         if self._xcheck is not None:
             fleet.append(self._xcheck)
@@ -1403,186 +1116,10 @@ class Router:
             ambient.absorb(self.metrics)
 
 
-def read_discovery(cluster_dir: str) -> Optional[dict]:
-    """Parse ``cluster.json`` under ``cluster_dir``; ``None`` when
-    missing or damaged (discovery is advisory)."""
-    try:
-        with open(os.path.join(cluster_dir, "cluster.json"), encoding="utf-8") as f:
-            data = json.load(f)
-    except (OSError, ValueError):
-        return None
-    return data if isinstance(data, dict) else None
-
-
-class Standby:
-    """A warm spare router (``repro-spi cluster --standby``).
-
-    It holds no listeners and spawns nothing while the primary lives:
-    it watches the primary's heartbeat in ``cluster.json`` and, once
-    the heartbeat goes stale for ``takeover_after`` seconds, confirms
-    death with pings against the primary's own endpoint (a wedged
-    heartbeat writer that still answers pings is *alive* — taking over
-    under it would split the brain).  Only when both signals agree does
-    it promote:
-
-    1. rebuild the topology from discovery, **adopting** the orphaned
-       shard processes by pid (they run in their own sessions, so a
-       router ``kill -9`` leaves them computing; respawning them would
-       double that work);
-    2. warm every shard's ``JournalIndex`` — the union of the journals
-       is the completed-work picture, and the router-level dedupe plus
-       the shards' own ``--dedupe`` coalescing make re-driven in-flight
-       work exactly-once;
-    3. bind its *own* listeners and atomically rewrite discovery, so
-       clients whose retry loop re-reads ``cluster.json``
-       (``ServiceClient(refresh=...)``) land on the new primary without
-       restarting.
-    """
-
-    def __init__(self, config: RouterConfig) -> None:
-        if config.socket_path is None and config.port is None:
-            raise ClusterError("standby needs its own socket path and/or TCP port")
-        self.config = config
-        self.router: Optional[Router] = None
-        self.promoted = threading.Event()
-        self._drain = threading.Event()
-        self._lock = threading.Lock()
-
-    def request_drain(self) -> None:
-        self._drain.set()
-        with self._lock:
-            router = self.router
-        if router is not None:
-            router.request_drain()
-
-    def _standby_path(self) -> str:
-        return os.path.join(self.config.dir, "standby.json")
-
-    def _write_standby_marker(self) -> None:
-        from repro.runtime.atomic import atomic_write_json as _write
-
-        try:
-            _write(
-                self._standby_path(),
-                {
-                    "pid": os.getpid(),
-                    "role": "standby",
-                    "socket": self.config.socket_path,
-                    "since": time.time(),
-                },
-            )
-        except OSError:
-            pass
-
-    def _primary_addresses(self, disco: dict) -> list:
-        router = disco.get("router") or {}
-        addresses = []
-        if router.get("socket"):
-            addresses.append(("unix", router["socket"]))
-        if router.get("tcp"):
-            host, port = router["tcp"]
-            addresses.append(("tcp", (host, int(port))))
-        return addresses
-
-    def _primary_answers(self, disco: dict) -> bool:
-        for address in self._primary_addresses(disco):
-            try:
-                reply = ServiceClient(
-                    address, timeout=self.config.health_timeout, retries=0
-                ).ping()
-            except (ServiceUnavailable, OSError, FramingError):
-                continue
-            if reply.get("status") == "pong":
-                return True
-        return False
-
-    def watch(self) -> Optional[dict]:
-        """Block until the primary is conclusively dead (returns the
-        last discovery snapshot to adopt) or drain is requested
-        (returns ``None``)."""
-        cfg = self.config
-        poll = max(0.05, min(cfg.heartbeat_interval / 2.0, 1.0))
-        last_seq: Optional[int] = None
-        last_seen = time.monotonic()
-        ping_strikes = 0
-        snapshot: Optional[dict] = None
-        while not self._drain.is_set():
-            time.sleep(poll)
-            disco = read_discovery(cfg.dir)
-            now = time.monotonic()
-            if disco is None:
-                # Nothing to adopt (yet): a standby without a primary
-                # just keeps waiting.
-                continue
-            snapshot = disco
-            heartbeat = (disco.get("router") or {}).get("heartbeat") or {}
-            seq = heartbeat.get("seq")
-            if seq != last_seq:
-                last_seq = seq
-                last_seen = now
-                ping_strikes = 0
-                continue
-            if now - last_seen < cfg.takeover_after:
-                continue
-            # Heartbeat stale: believe it only once pings agree.
-            if self._primary_answers(disco):
-                last_seen = now
-                ping_strikes = 0
-                continue
-            ping_strikes += 1
-            trace_event(
-                "cluster.standby_strike", strikes=ping_strikes,
-                stale=round(now - last_seen, 3),
-            )
-            if ping_strikes >= 2:
-                return snapshot
-        return None
-
-    def takeover(self, disco: dict) -> Router:
-        """Build and bind the promoted router (does not serve yet)."""
-        adopt = disco.get("shards") or {}
-        router = Router(self.config, adopt=adopt)
-        router.bind()
-        # Point discovery at the promoted listeners *before* announcing
-        # the takeover: bound sockets already queue connections in the
-        # backlog, and a client re-reading discovery between retries
-        # must find the living router, not the corpse's address.
-        router.write_discovery()
-        with self._lock:
-            self.router = router
-        self.promoted.set()
-        trace_event(
-            "cluster.takeover",
-            shards=sorted(adopt),
-            adopted=[s for s, i in adopt.items() if i.get("pid")],
-        )
-        return router
-
-    def run(self) -> int:
-        """Watch; on primary death, promote and serve until drained."""
-        self._write_standby_marker()
-        try:
-            disco = self.watch()
-            if disco is None:
-                return 0  # drained while still a spare
-            router = self.takeover(disco)
-        finally:
-            try:
-                os.unlink(self._standby_path())
-            except OSError:
-                pass
-        if self._drain.is_set():
-            router.request_drain()
-        return router.serve_forever()
-
-
 def run_cluster(config: RouterConfig) -> int:
-    """Blocking entry point used by the CLI: bind, install
-    drain-on-SIGINT/SIGTERM handlers (plus resize-on-SIGHUP), route
-    until drained.  Returns the exit status (``0`` after a clean
-    drain)."""
-    import signal as _signal
-
+    """Blocking entry point: bind, install drain-on-SIGINT/SIGTERM
+    handlers, route until drained.  Returns the exit status (``0``
+    after a clean drain)."""
     from repro.runtime.lifecycle import drain_signals
 
     router = Router(config)
@@ -1597,26 +1134,4 @@ def run_cluster(config: RouterConfig) -> int:
 
         watcher = threading.Thread(target=_watch_drain, daemon=True)
         watcher.start()
-        try:
-            _signal.signal(_signal.SIGHUP, lambda *_: router.signal_resize())
-        except (ValueError, OSError, AttributeError):
-            pass  # not the main thread, or no SIGHUP on this platform
         return router.serve_forever()
-
-
-def run_standby(config: RouterConfig) -> int:
-    """Blocking entry point for ``repro-spi cluster --standby``."""
-    from repro.runtime.lifecycle import drain_signals
-
-    standby = Standby(config)
-    with drain_signals(on_signal=lambda signum: standby.request_drain()) as drain:
-        if drain.is_set():
-            standby.request_drain()
-
-        def _watch_drain() -> None:
-            drain.wait()
-            standby.request_drain()
-
-        watcher = threading.Thread(target=_watch_drain, daemon=True)
-        watcher.start()
-        return standby.run()

@@ -131,8 +131,8 @@ class ServerConfig:
     #: request whose id is currently queued or running is *coalesced*
     #: onto the in-flight ticket instead of computed twice.  Cluster
     #: shards run with this on — it is the shard-side backstop that
-    #: keeps verdicts exactly-once when a promoted standby re-drives
-    #: work the dead primary already delivered here.
+    #: keeps verdicts exactly-once when a retrying client re-drives
+    #: work this shard already delivered or is still computing.
     dedupe: bool = False
     #: Directory of a persistent cross-run
     #: :class:`~repro.service.store.VerdictStore` (``serve

@@ -18,9 +18,10 @@ Two pieces live here, both deliberately free of routing policy:
   keeps its owner — the property that makes failover cheap.
 * :class:`LocalShard` — one supervised ``repro-spi serve`` child
   process: spawn (in its own session, so terminal signals reach the
-  router alone and shard shutdown stays the router's decision), liveness
-  polling, SIGTERM/SIGKILL, and the respawn-backoff bookkeeping the
-  router's supervision loop drives.
+  router alone and shard shutdown stays the router's decision; with a
+  parent-death signal, so the shard never outlives its router),
+  liveness polling, SIGTERM/SIGKILL, and the respawn-backoff
+  bookkeeping the router's supervision loop drives.
 
 Remote shards (pre-started servers registered by address) need neither:
 they are a :class:`ShardSpec` with ``local=False`` and their lifecycle
@@ -30,14 +31,14 @@ belongs to whoever started them.
 from __future__ import annotations
 
 import bisect
+import ctypes
 import hashlib
 import os
 import signal
 import subprocess
 import sys
-import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.core.errors import ReproError
 
@@ -46,26 +47,36 @@ class ShardError(ReproError):
     """A shard definition or spawn went wrong."""
 
 
-def _pid_alive(pid: int) -> bool:
-    """Whether ``pid`` is *running* (signal-0 probe; EPERM still means
-    alive).  A zombie answers signal 0 but is already dead — it can
-    serve nothing and will vanish as soon as someone reaps it — so on
-    platforms with ``/proc`` the state field gets the final say."""
+#: ``prctl`` option number from ``<linux/prctl.h>``.
+_PR_SET_PDEATHSIG = 1
+
+
+def _die_with_parent() -> Optional[Callable[[], None]]:
+    """A ``preexec_fn`` that makes the child die by SIGKILL when the
+    thread that spawned it exits, or ``None`` off Linux.
+
+    libc is loaded here, in the parent, so the child between ``fork``
+    and ``exec`` only makes the one ``prctl`` call.  A parent that died
+    before that call took effect would never send the signal, so the
+    child then checks that its parent is still the spawner and
+    otherwise kills itself.
+    """
+    if not sys.platform.startswith("linux"):
+        return None
     try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    except OSError:
-        return False
-    try:
-        with open(f"/proc/{pid}/stat", "rb") as handle:
-            # Field 3, after the parenthesised (possibly space-ridden)
-            # command name: a single state letter; "Z" is a zombie.
-            return handle.read().rsplit(b") ", 1)[1][:1] != b"Z"
-    except (OSError, IndexError):
-        return True  # no /proc: the signal probe is the best we have
+        prctl = ctypes.CDLL(None).prctl
+    except (OSError, AttributeError):
+        return None
+    prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+    prctl.restype = ctypes.c_int
+    parent = os.getpid()
+
+    def preexec() -> None:
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    return preexec
 
 
 def _point(label: str) -> int:
@@ -183,11 +194,6 @@ class LocalShard:
     restarts: int = 0
     fail_streak: int = 0
     next_spawn_at: float = 0.0
-    #: Pid of an *inherited* incarnation: shards run in their own
-    #: session, so they survive a router ``kill -9`` as orphans, and a
-    #: standby router adopts them by pid instead of respawning (which
-    #: would double any in-flight computation).  Cleared on spawn.
-    adopted_pid: Optional[int] = None
     _log_handle: Any = field(default=None, repr=False)
 
     @property
@@ -196,17 +202,11 @@ class LocalShard:
         return target if family == "unix" else None
 
     def alive(self) -> bool:
-        if self.proc is not None and self.proc.poll() is None:
-            return True
-        if self.proc is None and self.adopted_pid is not None:
-            return _pid_alive(self.adopted_pid)
-        return False
+        return self.proc is not None and self.proc.poll() is None
 
     @property
     def pid(self) -> Optional[int]:
-        if self.proc is not None:
-            return self.proc.pid
-        return self.adopted_pid
+        return self.proc.pid if self.proc is not None else None
 
     @property
     def exit_code(self) -> Optional[int]:
@@ -218,12 +218,14 @@ class LocalShard:
         A stale socket file from the previous incarnation is removed
         first so the child's bind cannot race a connect against a dead
         endpoint.  stdout/stderr append to the shard's log file; the
-        child gets its own session so only the router signals it.
+        child gets its own session so only the router signals it, and a
+        parent-death signal so it dies with the router — even a router
+        ``kill -9`` — instead of lingering as an orphan that a restarted
+        router would duplicate on the same journal.  The signal follows
+        the spawning *thread*, so spawn from the router's main loop.
         """
         if self.alive():
             return
-        # Any adopted incarnation is conclusively dead by now.
-        self.adopted_pid = None
         if self.socket_path is not None and os.path.exists(self.socket_path):
             try:
                 os.unlink(self.socket_path)
@@ -238,16 +240,14 @@ class LocalShard:
             stdout=self._log_handle,
             stderr=subprocess.STDOUT,
             start_new_session=True,
+            preexec_fn=_die_with_parent(),
         )
 
     def terminate(self) -> None:
         if not self.alive():
             return
         try:
-            if self.proc is not None:
-                self.proc.terminate()
-            elif self.adopted_pid is not None:
-                os.kill(self.adopted_pid, signal.SIGTERM)
+            self.proc.terminate()
         except OSError:
             pass
 
@@ -255,31 +255,19 @@ class LocalShard:
         if not self.alive():
             return
         try:
-            if self.proc is not None:
-                self.proc.kill()
-            elif self.adopted_pid is not None:
-                os.kill(self.adopted_pid, signal.SIGKILL)
+            self.proc.kill()
         except OSError:
             pass
 
     def wait(self, timeout: float) -> Optional[int]:
         """Best-effort wait; returns the exit code or ``None`` on
-        timeout.  Adopted pids are not our children, so ``waitpid`` is
-        unavailable — they are polled, and report exit code 0 once gone
-        (the real code is unknowable)."""
-        if self.proc is not None:
-            try:
-                return self.proc.wait(timeout=timeout)
-            except subprocess.TimeoutExpired:
-                return None
-        if self.adopted_pid is not None:
-            deadline = time.monotonic() + timeout
-            while time.monotonic() < deadline:
-                if not _pid_alive(self.adopted_pid):
-                    return 0
-                time.sleep(0.05)
+        timeout."""
+        if self.proc is None:
             return None
-        return None
+        try:
+            return self.proc.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            return None
 
     def close(self) -> None:
         if self._log_handle is not None and not self._log_handle.closed:
@@ -310,16 +298,15 @@ def local_shard_argv(
     process (see :meth:`repro.service.breaker.BreakerBoard.rebuild`).
     Cluster shards also get ``--dedupe`` by default: the shard treats
     the request id as an idempotency key against its own journal and
-    in-flight table, the backstop that keeps verdicts exactly-once even
-    when *two* routers (a wedged primary and a promoted standby)
-    briefly forward the same work.
+    in-flight table, the backstop that keeps verdicts exactly-once when
+    a client retry re-drives work the shard is still computing.
 
     ``verdict_store`` (``cluster --verdict-store``) is deliberately
     **one shared directory** for the whole fleet: each shard does its
     cache-aside lookups and write-throughs against the same store (the
     per-writer-segment layout of :class:`~repro.service.store.
-    VerdictStore` makes that safe), so cluster-wide repeat traffic,
-    failover re-drives, and resharding moves all become O(1) lookups
+    VerdictStore` makes that safe), so cluster-wide repeat traffic and
+    failover re-drives become O(1) lookups
     regardless of which shard the ring picks.
     """
     argv = [

@@ -19,8 +19,12 @@ Layered like the machinery itself:
   (no job computed twice across the three shard journals, none lost)
   and each verdict must equal the single-process ``run_job`` baseline;
   then a drain that exits 0;
+* a partitioned shard (``SIGSTOP``: alive, never answering) is ejected
+  and its keys are answered by the survivors;
 * the same story end to end through the real CLI (``cluster`` +
-  ``submit --cluster``).
+  ``submit --cluster``, ``cluster-status``), including a router
+  ``kill -9``: its shards die with it, and a restart on the same
+  ``--dir`` answers every job exactly once from the journals.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from repro.runtime.worker import Job, run_job
 from repro.service.client import ServiceClient, ServiceUnavailable
 from repro.service.framing import recv_frame, send_frame
 from repro.service.health import HealthMonitor
+from repro.service.protocol import protocol_key
 from repro.service.router import ClusterError, Router, RouterConfig
 from repro.service.shards import (
     HashRing,
@@ -83,6 +88,37 @@ def wait_until(predicate, timeout: float = 60.0, interval: float = 0.05):
             return value
         time.sleep(interval)
     raise AssertionError("condition not reached within timeout")
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` is a live process.  A killed process whose parent
+    died is reparented, and may stay a zombie until its new parent reaps
+    it, so the ``/proc`` state decides; a zombie is not running."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            return handle.read().rsplit(b") ", 1)[1][:1] != b"Z"
+    except (OSError, IndexError):
+        return False
+
+
+def _result_counts(journal_paths) -> dict[str, int]:
+    """Job id -> number of ``result`` records across the journals."""
+    counts: dict[str, int] = {}
+    for path in journal_paths:
+        for record in read_journal(path):
+            if record.get("type") == "result":
+                counts[record["job"]] = counts.get(record["job"], 0) + 1
+    return counts
+
+
+def _assert_parity(jobs, replies) -> None:
+    """Every served verdict equals the single-process baseline."""
+    for job in jobs:
+        baseline = run_job(job)
+        served = replies[job.id]["result"]
+        assert served["holds"] == baseline["holds"], job.id
+        assert served["violated"] == baseline["violated"], job.id
+        assert served["exact"] == baseline["exact"], job.id
 
 
 class _Clock:
@@ -431,7 +467,8 @@ class TestShardHelpers:
 @contextmanager
 def stub_shard(replies):
     """A scripted remote shard on a Unix socket: each accepted
-    connection reads one frame and answers the next scripted reply."""
+    connection reads one frame and answers the next scripted reply
+    (``None`` closes the connection without replying)."""
     scratch = tempfile.mkdtemp(prefix="repro-stubshard-")
     path = os.path.join(scratch, "stub.sock")
     listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -448,7 +485,8 @@ def stub_shard(replies):
                 return
             with conn:
                 served.append(recv_frame(conn))
-                send_frame(conn, reply)
+                if reply is not None:
+                    send_frame(conn, reply)
 
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
@@ -579,6 +617,39 @@ class TestRouterUnits:
         assert not router.health.healthy(
             "remote-00" if reply["shard"] == "remote-01" else "remote-01"
         ) or router.metrics.counter("cluster.failovers").value == 0
+
+    def test_claim_wait_redrives_the_ejected_claim_holder(self, tmp_path):
+        """A failed transport is not a failed computation: the owner
+        lost the reply, was ejected for it, but its process is alive
+        and its journal holds an unresolved claim for the id.  The
+        re-drive must go back to that shard (claim pinning), never to
+        the ring successor, which would compute the job a second
+        time."""
+        job_id = "secrecy:zoo:yahalom"
+        members = ["remote-00", "remote-01"]
+        owner = HashRing(members).owner(protocol_key(SECRECY["target"]))
+        ok = {"status": "ok", "id": job_id, "result": {"holds": True}}
+        with stub_shard([None, ok]) as (holder, held), \
+                stub_shard([ok]) as (successor, succeeded):
+            paths = [holder, successor]
+            if owner != members[0]:
+                paths.reverse()
+            router = _stub_router(tmp_path, paths)
+            journal_path = str(tmp_path / "owner.jsonl")
+            journal = Journal(journal_path)
+            journal.append({"type": "claim", "job": job_id, "time": 1.0})
+            journal.close()
+            shard = router._shards[owner]
+            shard.journal = JournalIndex(journal_path)
+            # A live local process: the only liveness signal that
+            # survives ejection.
+            shard.process = type("Alive", (), {"alive": lambda self: True})()
+            reply = router.handle_frame(dict(SECRECY))
+        assert reply["status"] == "ok", reply
+        assert reply["shard"] == owner
+        assert len(held) == 2 and succeeded == []
+        assert not router.health.healthy(owner)
+        assert router.metrics.counter("cluster.claim_waits").value == 1
 
     def test_empty_ring_sheds_overloaded_with_retry_hint(self, tmp_path):
         router = _stub_router(tmp_path, ["/nonexistent/a.sock"])
@@ -887,23 +958,38 @@ class TestClusterIntegration:
             assert router.metrics.counter("cluster.respawns").value >= 1
 
             # Read the journals before teardown deletes the temp dir.
-            records = [r for path in journals for r in read_journal(path)]
+            counts = _result_counts(journals)
 
         # Exactly once: each job has exactly one result record across
         # every shard journal — none lost, none computed twice.
-        counts: dict[str, int] = {}
-        for record in records:
-            if record.get("type") == "result":
-                counts[record["job"]] = counts.get(record["job"], 0) + 1
         assert counts == {job.id: 1 for job in jobs}
+        _assert_parity(jobs, replies)
 
-        # Verdict parity with the single-process baseline.
-        for job in jobs:
-            baseline = run_job(job)
-            served = replies[job.id]["result"]
-            assert served["holds"] == baseline["holds"], job.id
-            assert served["violated"] == baseline["violated"], job.id
-            assert served["exact"] == baseline["exact"], job.id
+    def test_partitioned_shard_fails_over_to_survivors(self):
+        """A stopped shard is a network partition: the process is alive
+        but never answers.  It must be ejected, and a request it owns
+        must be answered by a survivor — no verdict lost."""
+        target = {"zoo": "yahalom"}
+        # A stopped probe rides its full timeout in the router loop,
+        # so keep that timeout tight.
+        with running_cluster(
+            shards=3, health_timeout=0.4, forward_timeout=2.0
+        ) as (router, client):
+            owner = router._ring.owner(protocol_key(target))
+            pid = router._shards[owner].process.pid
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                wait_until(lambda: not router.health.healthy(owner))
+                reply = client.submit(
+                    "secrecy", target, id="secrecy:zoo:yahalom",
+                    max_states=2000, max_depth=40,
+                )
+                assert reply["status"] == "ok", reply
+                assert reply["shard"] != owner
+                assert router._shards[owner].process.alive()
+            finally:
+                # Resumed, it can run its own drain: teardown exits 0.
+                os.kill(pid, signal.SIGCONT)
 
     def test_status_reports_topology(self):
         with running_cluster(shards=2) as (router, client):
@@ -996,3 +1082,180 @@ class TestClusterCli:
         for pid in shard_pids:  # drain propagated: no orphans
             with pytest.raises(OSError):
                 os.kill(pid, 0)
+
+    def test_cluster_status_table_and_json(self):
+        """``cluster-status`` renders the health table and the raw
+        status frame against a real CLI cluster."""
+        scratch = tempfile.mkdtemp(prefix="repro-cstat-")
+        cluster_dir = os.path.join(scratch, "c")
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "cluster",
+             "--dir", cluster_dir,
+             "--socket", os.path.join(scratch, "router.sock"),
+             "--shards", "2", "--workers-per-shard", "1",
+             "--health-interval", "0.2", "--shard-drain-grace", "5"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True,
+        )
+        try:
+            wait_until(
+                lambda: os.path.exists(os.path.join(cluster_dir, "cluster.json"))
+            )
+            status = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "cluster-status",
+                 cluster_dir],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert status.returncode == 0, status.stdout + status.stderr
+            assert "router pid" in status.stdout
+            assert "shard-00" in status.stdout and "shard-01" in status.stdout
+            assert "SHARD" in status.stdout and "BREAKER" in status.stdout
+
+            raw = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "cluster-status",
+                 cluster_dir, "--json"],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert raw.returncode == 0, raw.stdout + raw.stderr
+            frame = json.loads(raw.stdout)
+            assert frame["cluster"]["pid"] == proc.pid
+            assert set(frame["shards"]) == {"shard-00", "shard-01"}
+
+            proc.send_signal(signal.SIGTERM)
+            output, _ = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=30)
+            shutil.rmtree(scratch, ignore_errors=True)
+        assert proc.returncode == 0, output
+
+    def test_cluster_status_unreachable_exits_2(self, tmp_path):
+        directory = str(tmp_path)
+        with open(os.path.join(directory, "cluster.json"), "w") as handle:
+            json.dump(
+                {"router": {"socket": str(tmp_path / "gone.sock")}}, handle
+            )
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "cluster-status", directory],
+            env=dict(os.environ, PYTHONPATH="src"),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 2
+        assert "unreachable" in result.stdout
+
+    def test_router_kill_nine_takes_its_shards_and_restart_recovers(self):
+        """``kill -9`` the router of a 3-shard CLI cluster while a shard
+        is busy.  Every shard it named in ``cluster.json`` must die with
+        it; a router restarted on the same ``--dir`` must answer every
+        job ``ok``, with exactly one ``result`` record per job across
+        the shard journals and every verdict equal to ``run_job``."""
+        jobs = _zoo_jobs()
+        scratch = tempfile.mkdtemp(prefix="repro-rk9-")
+        cluster_dir = os.path.join(scratch, "c")
+        sock = os.path.join(scratch, "router.sock")
+        env = dict(os.environ, PYTHONPATH="src")
+        argv = [
+            sys.executable, "-m", "repro.cli", "cluster",
+            "--dir", cluster_dir, "--socket", sock,
+            "--shards", "3", "--workers-per-shard", "1",
+            "--health-interval", "0.2", "--health-cooldown", "0.5",
+            "--respawn-base", "0.1", "--shard-drain-grace", "5",
+        ]
+
+        def launch():
+            return subprocess.Popen(
+                argv, env=env, stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT, text=True,
+            )
+
+        def status():
+            try:
+                return ServiceClient(("unix", sock), timeout=5.0, retries=0).status()
+            except ServiceUnavailable:
+                return {}
+
+        def ready():
+            shards = (status().get("shards") or {}).values()
+            return len(shards) == 3 and all(
+                row["health"]["healthy"] and row["health"]["last_pong"]
+                for row in shards
+            )
+
+        def submit(job, replies, retries):
+            client = ServiceClient(
+                ("unix", sock), timeout=120.0, retries=retries,
+                backoff_base=0.05, backoff_cap=0.5,
+            )
+            try:
+                replies[job.id] = client.submit(
+                    job.kind, job.target, id=job.id,
+                    max_states=job.max_states, max_depth=job.max_depth,
+                )
+            except ServiceUnavailable:
+                pass  # the router died under this request
+
+        procs = [launch()]
+        shard_pids: list[int] = []
+        try:
+            wait_until(ready)
+            threads = [
+                threading.Thread(target=submit, args=(job, {}, 0))
+                for job in jobs
+            ]
+            for thread in threads:
+                thread.start()
+            wait_until(lambda: any(
+                row["inflight"] for row in
+                (status().get("shards") or {}).values()
+            ), interval=0.005)
+            with open(os.path.join(cluster_dir, "cluster.json")) as handle:
+                discovery = json.load(handle)
+            shard_pids = [info["pid"] for info in discovery["shards"].values()]
+            assert len(shard_pids) == 3 and all(shard_pids)
+            procs[0].send_signal(signal.SIGKILL)
+            procs[0].communicate(timeout=30)
+            wait_until(
+                lambda: not any(running(pid) for pid in shard_pids),
+                timeout=5.0,
+            )
+            for thread in threads:
+                thread.join(timeout=60)
+
+            procs.append(launch())
+            wait_until(ready)
+            replies: dict[str, dict] = {}
+            threads = [
+                threading.Thread(target=submit, args=(job, replies, 8))
+                for job in jobs
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=180)
+            assert set(replies) == {job.id for job in jobs}
+            for job_id, reply in replies.items():
+                assert reply["status"] == "ok", (job_id, reply)
+            counts = _result_counts(
+                os.path.join(cluster_dir, f"shard-{i:02d}.jsonl")
+                for i in range(3)
+            )
+
+            procs[1].send_signal(signal.SIGTERM)
+            output, _ = procs[1].communicate(timeout=120)
+            assert procs[1].returncode == 0, output
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.communicate(timeout=30)
+            for pid in shard_pids:  # orphans, should the shards outlive it
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except OSError:
+                    pass
+            shutil.rmtree(scratch, ignore_errors=True)
+
+        assert counts == {job.id: 1 for job in jobs}
+        _assert_parity(jobs, replies)

@@ -21,6 +21,7 @@ import os
 import shutil
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import tempfile
@@ -29,6 +30,7 @@ import time
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.runtime.journal import journaled_results, read_journal
 from repro.runtime.supervisor import run_suite
@@ -424,6 +426,20 @@ class TestClient:
         assert len(sleeps) == 1
         # Jitter floor is half the hinted retry_after (0.5 * 0.5).
         assert sleeps[0] == pytest.approx(0.25)
+
+    def test_connect_failure_rotates_to_the_next_address(self, tmp_path):
+        """Given a list of addresses, a dead endpoint costs one rotation:
+        the retry goes to the next address, which answers."""
+        with stub_server([{"status": "ok", "id": "x"}]) as (path, served):
+            client = ServiceClient(
+                [("unix", str(tmp_path / "dead.sock")), ("unix", path)],
+                timeout=30.0, retries=1, jitter=lambda: 0.0,
+                sleep=lambda s: None,
+            )
+            reply = client.call({"kind": "ping"})
+        assert reply["status"] == "ok"
+        assert len(served) == 1
+        assert client.address == ("unix", path)
 
     def test_draining_is_not_retried(self):
         with stub_server([
@@ -890,6 +906,80 @@ class TestFramingHardening:
         with pytest.raises(FramingError, match="announced"):
             decoder.feed(encode_frame({"kind": "ping"}))  # a valid frame: too late
         assert decoder.pending_bytes == 0
+
+
+# ----------------------------------------------------------------------
+# FrameDecoder fuzz (Hypothesis): byte-at-a-time, hostile headers
+# ----------------------------------------------------------------------
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+_MESSAGES = st.lists(
+    st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=4),
+    max_size=4,
+)
+
+
+class TestFrameDecoderFuzz:
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+    @given(messages=_MESSAGES)
+    def test_byte_at_a_time_reassembly(self, messages):
+        """Feeding a valid stream one byte at a time yields exactly the
+        encoded messages, in order, with nothing left buffered."""
+        stream = b"".join(encode_frame(m) for m in messages)
+        decoder = FrameDecoder()
+        out = []
+        for index in range(len(stream)):
+            out.extend(decoder.feed(stream[index:index + 1]))
+        assert out == messages
+        assert decoder.pending_bytes == 0
+
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        length=st.integers(min_value=1025, max_value=2**32 - 1),
+        prefix=_MESSAGES,
+    )
+    def test_oversize_length_header_poisons_at_the_fourth_byte(
+        self, length, prefix
+    ):
+        """A corrupted length header announcing more than the cap must
+        poison the decoder the moment the header completes — before any
+        payload byte is accepted — and stay poisoned: a stream that lost
+        frame alignment can never be trusted again."""
+        decoder = FrameDecoder(max_frame=1024)
+        clean = b"".join(encode_frame(m) for m in prefix)
+        for index in range(len(clean)):
+            decoder.feed(clean[index:index + 1])
+        hostile = struct.pack(">I", length)
+        decoder.feed(hostile[0:1])
+        decoder.feed(hostile[1:2])
+        decoder.feed(hostile[2:3])
+        with pytest.raises(FramingError, match="announced"):
+            decoder.feed(hostile[3:4])
+        assert decoder.pending_bytes == 0  # buffer dropped, not leaked
+        with pytest.raises(FramingError):
+            decoder.feed(b"\x00")  # poisoned for good
+
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+    @given(payload=st.binary(min_size=1, max_size=32))
+    def test_non_json_payload_poisons(self, payload):
+        try:
+            parsed = json.loads(payload.decode("utf-8"))
+            if isinstance(parsed, dict):
+                return  # accidentally valid: not this test's subject
+        except (ValueError, UnicodeDecodeError):
+            pass
+        decoder = FrameDecoder()
+        frame = struct.pack(">I", len(payload)) + payload
+        with pytest.raises(FramingError):
+            for index in range(len(frame)):
+                decoder.feed(frame[index:index + 1])
+        with pytest.raises(FramingError):
+            decoder.feed(b"")
 
 
 # ----------------------------------------------------------------------
