@@ -226,7 +226,6 @@ def securely_implements(
     proof technique, independent of the tester family.
     """
     from repro.obs.metrics import current_metrics
-    from repro.obs.trace import trace_span
 
     tests_count = 0
     exhaustions: list[Optional[Exhaustion]] = []

@@ -41,7 +41,7 @@ from repro.core.terms import Name, Term, localize
 from repro.equivalence.testing import Configuration, compose
 from repro.runtime.deadline import RunControl, resolve_control
 from repro.runtime.exhaustion import Exhaustion
-from repro.semantics import reduction
+from repro.semantics import canonical, reduction
 from repro.semantics.actions import Comm, PendingAction, Transition
 from repro.semantics.lts import Budget, DEFAULT_BUDGET, Graph, _bfs
 from repro.semantics.normalize import normalize
@@ -261,8 +261,10 @@ def env_explore(
         )
 
     graph = Graph(initial=initial.key())
+    # States are keyed on raw knowledge, so the uid families must be
+    # those of the reference path (see canonical.separate_unfolds).
     with trace_span("env.explore", max_states=budget.max_states,
-                    max_depth=budget.max_depth):
+                    max_depth=budget.max_depth), canonical.separate_unfolds():
         _bfs(graph, expand, EnvState.key, budget, resolve_control(control),
              initial=initial, family="env")
     metrics = current_metrics()

@@ -30,6 +30,7 @@ from repro.protocols.paper import Continuation, observing_continuation
 from repro.protocols.startup import startup
 from repro.runtime.deadline import RunControl
 from repro.runtime.exhaustion import Exhaustion
+from repro.semantics import canonical
 from repro.semantics.lts import Budget, DEFAULT_BUDGET, explore
 
 if TYPE_CHECKING:
@@ -93,7 +94,11 @@ def keeps_secret(
 
     system = compose(config)
     spy_loc = system.location_of(spy)
-    graph = explore(system, budget, control)
+    # The union below merges raw names heard on different branches;
+    # shared unfolds would give one site's names one uid on all of
+    # them and coarsen it (see canonical.separate_unfolds).
+    with canonical.separate_unfolds():
+        graph = explore(system, budget, control)
 
     heard: list[Term] = []
     secrets: set[Name] = set()

@@ -58,6 +58,7 @@ from repro.core.terms import (
     Zero,
 )
 from repro.runtime.deadline import RunControl, resolve_control
+from repro.semantics import canonical
 from repro.semantics.actions import Comm, Transition
 from repro.semantics.lts import Budget, Graph, _bfs
 from repro.semantics.system import System
@@ -331,8 +332,9 @@ def secrecy_witness(
 
     start = EnvState(system, Knowledge.from_terms(()))
     graph = Graph(initial=start.key())
-    found = _bfs(graph, expand, EnvState.key, budget, resolve_control(control),
-                 initial=start, goal=leaks, family="search")
+    with canonical.separate_unfolds():  # keyed on raw knowledge
+        found = _bfs(graph, expand, EnvState.key, budget, resolve_control(control),
+                     initial=start, goal=leaks, family="search")
     if found is None:
         return None
     trace = [step.transition for step in graph.trace_to(found)]

@@ -60,29 +60,40 @@ from repro.core.terms import (
 
 
 def subst_term(term: Term, mapping: Mapping[Var, Term]) -> Term:
-    """Apply a variable-to-term substitution inside a term."""
+    """Apply a variable-to-term substitution inside a term.
+
+    Subterms the substitution leaves unchanged are returned as the same
+    object, so interned subterms keep their identity.
+    """
     if not mapping:
         return term
     if isinstance(term, Var):
         return mapping.get(term, term)
-    if isinstance(term, Name):
+    if isinstance(term, (Name, Zero)):
         return term
     if isinstance(term, Pair):
-        return Pair(subst_term(term.first, mapping), subst_term(term.second, mapping))
-    if isinstance(term, Zero):
-        return term
+        first = subst_term(term.first, mapping)
+        second = subst_term(term.second, mapping)
+        if first is term.first and second is term.second:
+            return term
+        return Pair(first, second)
     if isinstance(term, Succ):
-        return Succ(subst_term(term.term, mapping))
+        inner = subst_term(term.term, mapping)
+        return term if inner is term.term else Succ(inner)
     if isinstance(term, SharedEnc):
-        return SharedEnc(
-            tuple(subst_term(part, mapping) for part in term.body),
-            subst_term(term.key, mapping),
-        )
+        body = tuple(subst_term(part, mapping) for part in term.body)
+        key = subst_term(term.key, mapping)
+        if key is term.key and all(a is b for a, b in zip(body, term.body)):
+            return term
+        return SharedEnc(body, key)
     if isinstance(term, Localized):
-        return Localized(term.creator, subst_term(term.term, mapping))
+        inner = subst_term(term.term, mapping)
+        return term if inner is term.term else Localized(term.creator, inner)
     if isinstance(term, At):
-        inner = None if term.term is None else subst_term(term.term, mapping)
-        return At(term.address, inner)
+        if term.term is None:
+            return term
+        inner = subst_term(term.term, mapping)
+        return term if inner is term.term else At(term.address, inner)
     raise SubstitutionError(f"unknown term {term!r}")
 
 
@@ -127,7 +138,7 @@ def rename_vars_term(term: Term, mapping: Mapping[Var, Var]) -> Term:
 
 def _subst_channel(ch: Channel, mapping: Mapping[Var, Term]) -> Channel:
     subject = subst_term(ch.subject, mapping)
-    return Channel(subject, ch.index)
+    return ch if subject is ch.subject else Channel(subject, ch.index)
 
 
 def _fresh_var(var: Var) -> Var:
@@ -139,7 +150,11 @@ def subst(proc: Process, mapping: Mapping[Var, Term]) -> Process:
 
     Binders (input, case, split) occurring in ``proc`` are alpha-renamed
     when they clash with the domain of the substitution or with variables
-    free in its range.
+    free in its range.  Subtrees the substitution does not change are
+    returned as the same object (``subst(P, m) is P`` when ``P``
+    mentions no variable of the domain or range of ``m``), so interned
+    subtrees keep their identity and re-interning a result stops at
+    them.
     """
     mapping = {k: v for k, v in mapping.items() if k != v}
     if not mapping:
@@ -147,89 +162,107 @@ def subst(proc: Process, mapping: Mapping[Var, Term]) -> Process:
     range_vars: set[Var] = set()
     for value in mapping.values():
         range_vars |= variables_of(value)
+    return _subst(proc, mapping, range_vars)
 
-    def clash(binders: tuple[Var, ...]) -> bool:
-        return any(b in mapping or b in range_vars for b in binders)
 
+def _under(
+    binders: tuple[Var, ...], body: Process, mapping: dict[Var, Term], range_vars: set[Var]
+) -> tuple[tuple[Var, ...], Process]:
+    """Substitute below ``binders``, renaming them first on a clash."""
+    if any(b in mapping or b in range_vars for b in binders):
+        fresh = tuple(_fresh_var(b) for b in binders)
+        body = subst(body, dict(zip(binders, fresh)))
+        binders = fresh
+    return binders, _subst(body, mapping, range_vars)
+
+
+def _subst(proc: Process, mapping: dict[Var, Term], range_vars: set[Var]) -> Process:
+    """:func:`subst` below the top level.
+
+    ``range_vars`` is computed once per top-level call.  A binder is
+    renamed whenever it lies in the domain or clashes with the range, so
+    below every binder the mapping is unchanged and both are passed down
+    as they are.
+    """
     if isinstance(proc, Nil):
         return proc
     if isinstance(proc, Output):
-        return Output(
-            _subst_channel(proc.channel, mapping),
-            subst_term(proc.payload, mapping),
-            subst(proc.continuation, mapping),
-        )
+        channel = _subst_channel(proc.channel, mapping)
+        value = subst_term(proc.payload, mapping)
+        cont = _subst(proc.continuation, mapping, range_vars)
+        if (
+            channel is proc.channel
+            and value is proc.payload
+            and cont is proc.continuation
+        ):
+            return proc
+        return Output(channel, value, cont)
     if isinstance(proc, Input):
-        binder = proc.binder
-        continuation = proc.continuation
-        if clash((binder,)):
-            fresh = _fresh_var(binder)
-            continuation = subst(continuation, {binder: fresh})
-            binder = fresh
-        inner = {k: v for k, v in mapping.items() if k != binder}
-        return Input(
-            _subst_channel(proc.channel, mapping), binder, subst(continuation, inner)
-        )
+        channel = _subst_channel(proc.channel, mapping)
+        (binder,), cont = _under((proc.binder,), proc.continuation, mapping, range_vars)
+        if (
+            channel is proc.channel
+            and binder is proc.binder
+            and cont is proc.continuation
+        ):
+            return proc
+        return Input(channel, binder, cont)
     if isinstance(proc, Restriction):
-        return Restriction(proc.name, subst(proc.body, mapping))
+        body = _subst(proc.body, mapping, range_vars)
+        return proc if body is proc.body else Restriction(proc.name, body)
     if isinstance(proc, Parallel):
-        return Parallel(subst(proc.left, mapping), subst(proc.right, mapping))
-    if isinstance(proc, Match):
-        return Match(
-            subst_term(proc.left, mapping),
-            subst_term(proc.right, mapping),
-            subst(proc.continuation, mapping),
-        )
-    if isinstance(proc, AddrMatch):
-        return AddrMatch(
-            subst_term(proc.left, mapping),
-            subst_term(proc.right, mapping),
-            subst(proc.continuation, mapping),
-        )
+        left = _subst(proc.left, mapping, range_vars)
+        right = _subst(proc.right, mapping, range_vars)
+        if left is proc.left and right is proc.right:
+            return proc
+        return Parallel(left, right)
+    if isinstance(proc, (Match, AddrMatch)):
+        left = subst_term(proc.left, mapping)
+        right = subst_term(proc.right, mapping)
+        cont = _subst(proc.continuation, mapping, range_vars)
+        if left is proc.left and right is proc.right and cont is proc.continuation:
+            return proc
+        return type(proc)(left, right, cont)
     if isinstance(proc, Replication):
-        return Replication(subst(proc.body, mapping))
+        body = _subst(proc.body, mapping, range_vars)
+        return proc if body is proc.body else Replication(body)
     if isinstance(proc, Case):
-        binders = proc.binders
-        continuation = proc.continuation
-        if clash(binders):
-            fresh = tuple(_fresh_var(b) for b in binders)
-            continuation = subst(continuation, dict(zip(binders, fresh)))
-            binders = fresh
-        inner = {k: v for k, v in mapping.items() if k not in binders}
-        return Case(
-            subst_term(proc.scrutinee, mapping),
-            binders,
-            subst_term(proc.key, mapping),
-            subst(continuation, inner),
-        )
+        scrutinee = subst_term(proc.scrutinee, mapping)
+        key = subst_term(proc.key, mapping)
+        binders, cont = _under(proc.binders, proc.continuation, mapping, range_vars)
+        if (
+            scrutinee is proc.scrutinee
+            and key is proc.key
+            and binders is proc.binders
+            and cont is proc.continuation
+        ):
+            return proc
+        return Case(scrutinee, binders, key, cont)
     if isinstance(proc, IntCase):
-        binder = proc.binder
-        succ_branch = proc.succ_branch
-        if clash((binder,)):
-            fresh = _fresh_var(binder)
-            succ_branch = subst(succ_branch, {binder: fresh})
-            binder = fresh
-        inner = {k: v for k, v in mapping.items() if k != binder}
-        return IntCase(
-            subst_term(proc.scrutinee, mapping),
-            subst(proc.zero_branch, mapping),
-            binder,
-            subst(succ_branch, inner),
-        )
+        scrutinee = subst_term(proc.scrutinee, mapping)
+        zero_branch = _subst(proc.zero_branch, mapping, range_vars)
+        (binder,), succ_branch = _under((proc.binder,), proc.succ_branch, mapping, range_vars)
+        if (
+            scrutinee is proc.scrutinee
+            and zero_branch is proc.zero_branch
+            and binder is proc.binder
+            and succ_branch is proc.succ_branch
+        ):
+            return proc
+        return IntCase(scrutinee, zero_branch, binder, succ_branch)
     if isinstance(proc, Split):
-        binders = (proc.first, proc.second)
-        continuation = proc.continuation
-        if clash(binders):
-            fresh = tuple(_fresh_var(b) for b in binders)
-            continuation = subst(continuation, dict(zip(binders, fresh)))
-            binders = fresh
-        inner = {k: v for k, v in mapping.items() if k not in binders}
-        return Split(
-            subst_term(proc.scrutinee, mapping),
-            binders[0],
-            binders[1],
-            subst(continuation, inner),
+        scrutinee = subst_term(proc.scrutinee, mapping)
+        (first, second), cont = _under(
+            (proc.first, proc.second), proc.continuation, mapping, range_vars
         )
+        if (
+            scrutinee is proc.scrutinee
+            and first is proc.first
+            and second is proc.second
+            and cont is proc.continuation
+        ):
+            return proc
+        return Split(scrutinee, first, second, cont)
     raise SubstitutionError(f"unknown process {proc!r}")
 
 

@@ -23,7 +23,7 @@ them incrementally:
    spine with C-level copies — only identity renumbering is ever
    re-done per state (it is global, so it cannot be cached);
 4. a bounded LRU **successor cache** keyed by ``(interned root,
-   private, roles)`` lets repeated expansions of the same state — the
+   private, roles, unfold-sharing mode)`` lets repeated expansions of the same state — the
    attacker enumeration revisits systems under many knowledge sets,
    and escalation re-explores from scratch — skip the transition
    enumeration entirely.  Identity keying means a hit returns
@@ -55,7 +55,8 @@ from __future__ import annotations
 import os
 import re
 from collections import OrderedDict
-from typing import Callable, Optional
+from contextlib import contextmanager
+from typing import Callable, Iterator, Optional
 
 from repro.core.addresses import RelativeAddress, location_str
 from repro.core.intern import InternTable
@@ -134,6 +135,12 @@ _enabled: bool = not _env_disabled()
 #: depend on modules that import this one.
 _symmetry: bool = env_reduction_mode() in {"sym", "full"}
 
+#: May a replication unfold reuse the copy its site produced before
+#: (:func:`repro.semantics.transitions._unfold`)?  Off inside
+#: :func:`separate_unfolds`; part of the successor-cache key, so the
+#: two modes never serve each other's transitions.
+_share_unfolds: bool = True
+
 _table = InternTable()
 _flats: dict[int, list] = {}  # id(interned node) -> flattened tokens
 _keys: dict[int, str] = {}  # id(interned root) -> canonical key
@@ -201,6 +208,36 @@ def set_symmetry_enabled(enabled: bool) -> bool:
         _sym_keys.clear()
         _blind_memo.clear()
     return previous
+
+
+def unfolds_shared() -> bool:
+    """Does each replication site unfold to one memoized copy?
+
+    True with the cache on, outside :func:`separate_unfolds`.
+    """
+    return _enabled and _share_unfolds
+
+
+@contextmanager
+def separate_unfolds() -> Iterator[None]:
+    """Run a block in which every replication unfold freshens anew.
+
+    Sharing one copy per site gives a name created there the same uid
+    in every run that unfolds the site.  Plain explorations compare
+    states by alpha-invariant key and never notice; analyses that
+    relate raw names *across* states do: the environment semantics
+    keys states on the attacker's knowledge, and secrecy's union
+    knowledge merges what the spy heard on different branches.  They
+    run inside this block and see the uid families of the uncached
+    reference path.
+    """
+    global _share_unfolds
+    previous = _share_unfolds
+    _share_unfolds = False
+    try:
+        yield
+    finally:
+        _share_unfolds = previous
 
 
 def register_clear_hook(hook: Callable[[], None]) -> None:
@@ -821,7 +858,8 @@ def successor_key(system) -> Optional[tuple]:
 
     ``private`` and ``roles`` are part of the key because equal process
     trees can belong to systems with different private-name sets, and
-    verdicts depend on them.  Keying on the *identity* of the interned
+    verdicts depend on them; the unfold-sharing mode is, because a
+    shared unfold's names would leak into :func:`separate_unfolds`.  Keying on the *identity* of the interned
     root means a hit hands back transitions whose uids are exactly
     those of the querying state — not merely alpha-equivalent ones.
     The handle carries the interned root alongside the key so a stored
@@ -831,7 +869,7 @@ def successor_key(system) -> Optional[tuple]:
     if not _enabled:
         return None
     node = _table.process(system.root)
-    return ((id(node), system.private, system.roles), node)
+    return ((id(node), system.private, system.roles, _share_unfolds), node)
 
 
 def successor_get(handle: tuple):

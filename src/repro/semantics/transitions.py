@@ -156,9 +156,7 @@ def commitments(
         # !P acts as one freshened copy in parallel with the template:
         # the copy goes to the left (location .0), the template to the
         # right (.1), so every pre-existing location stays valid.
-        template = proc
-        copy = freshen_bound(proc.body)
-        copy, created = instantiate_names(copy, at=act_loc + (0,))
+        template, copy, created = _unfold(proc, act_loc)
 
         def unfold_embed(
             k: Process, _embed: Callable[[Process], Process] = embed
@@ -191,6 +189,43 @@ def commitments(
             "systems must be built with repro.semantics.system.instantiate"
         )
     raise SemanticsError(f"unknown process {proc!r}")
+
+
+#: Replication unfolds, keyed by (identity of the interned template,
+#: acting location); each entry holds ``(template, copy, created)`` and
+#: its template pins the id.  Reusing a copy is sound because the tree
+#: is never pruned: a location holds the template until it unfolds
+#: there and a ``Parallel`` from then on, so no state holds both the
+#: template at that location and names from an earlier unfold of it.
+#: Dropped with the intern table via the registered clear hook.
+_unfold_memo: dict[tuple[int, Location], tuple[Process, Process, frozenset[Name]]] = {}
+canonical.register_clear_hook(_unfold_memo.clear)
+
+
+def _unfold(
+    template: Replication, act_loc: Location
+) -> tuple[Process, Process, frozenset[Name]]:
+    """``(template, copy, created)`` for unfolding ``template`` at ``act_loc``.
+
+    The copy is freshened and its restrictions are instantiated at
+    ``act_loc + (0,)``.  While :func:`canonical.unfolds_shared`, each
+    site unfolds once and every later expansion reuses its fresh
+    identities, so interleavings that reach the same state build the
+    same tree.  Otherwise (cache off, or inside
+    :func:`canonical.separate_unfolds`) every call freshens anew, as
+    the reference path does.
+    """
+    sharing = canonical.unfolds_shared()
+    if sharing:
+        template = canonical.intern_process(template)
+        hit = _unfold_memo.get((id(template), act_loc))
+        if hit is not None:
+            return hit
+    copy, created = instantiate_names(freshen_bound(template.body), at=act_loc + (0,))
+    entry = (template, copy, created)
+    if sharing:
+        _unfold_memo[id(template), act_loc] = entry
+    return entry
 
 
 def pending_actions(system: System) -> list[PendingAction]:
@@ -383,18 +418,22 @@ def _normalize_interned(node: Process, at: Location = ()) -> Process:
     ``node`` must be interned (children of an interned node are
     interned, so the recursion stays inside the arena until it reaches
     a non-structural node, which falls through to plain ``normalize``).
+    A node whose children come back unchanged is returned as itself, so
+    the result stays interned wherever normalization did nothing.
     """
     key = (id(node), at)
     hit = _norm_memo.get(key)
     if hit is not None:
         return hit
     if isinstance(node, Parallel):
-        result: Process = Parallel(
-            _normalize_interned(node.left, at + (0,)),
-            _normalize_interned(node.right, at + (1,)),
+        left = _normalize_interned(node.left, at + (0,))
+        right = _normalize_interned(node.right, at + (1,))
+        result: Process = (
+            node if left is node.left and right is node.right else Parallel(left, right)
         )
     elif isinstance(node, Restriction):
-        result = Restriction(node.name, _normalize_interned(node.body, at))
+        body = _normalize_interned(node.body, at)
+        result = node if body is node.body else Restriction(node.name, body)
     else:
         result = normalize(node, at)
     _norm_memo[key] = result

@@ -23,6 +23,13 @@ A pong that says ``draining: true`` counts as a *failure*: the shard
 answers, but routing new work to a closing door only manufactures
 ``draining`` refusals.
 
+A shard the router has just spawned is **starting** until its first
+pong: its interpreter is still importing and its socket may not exist
+yet, so probe failures in that window are recorded but do not count
+towards ejection.  A starting shard whose process exits is still
+ejected at once through :meth:`HealthMonitor.eject`, and forwarding
+failures (:meth:`HealthMonitor.note_failure`) count as usual.
+
 Probing is synchronous and injectable (``pinger``/``clock``), so unit
 tests drive ejection and recovery without sockets or sleeps.
 """
@@ -59,14 +66,22 @@ class ShardHealth:
     last_error: Optional[str] = None
     checks: int = 0
     failures: int = 0
+    #: Spawned by the router: until its first pong it is *starting*.
+    launched: bool = False
 
     @property
     def healthy(self) -> bool:
         return self.breaker.state == CLOSED
 
+    @property
+    def starting(self) -> bool:
+        """Launched and not yet answered: probe failures do not count."""
+        return self.launched and self.last_pong is None
+
     def snapshot(self) -> dict:
         return {
             "healthy": self.healthy,
+            "starting": self.starting,
             "breaker": self.breaker.snapshot(),
             "checks": self.checks,
             "failures": self.failures,
@@ -116,10 +131,12 @@ class HealthMonitor:
 
     # -- membership ----------------------------------------------------
 
-    def watch(self, shard_id: str, address: Any) -> ShardHealth:
+    def watch(self, shard_id: str, address: Any, launched: bool = False) -> ShardHealth:
         """Start (or keep) watching a shard; new shards begin healthy —
         the supervisor spawned them on purpose and the first probes will
-        say otherwise quickly enough."""
+        say otherwise quickly enough.  ``launched`` marks a shard the
+        router spawned: its probe failures do not count until it first
+        answers."""
         health = self._shards.get(shard_id)
         if health is None:
             health = ShardHealth(
@@ -129,6 +146,7 @@ class HealthMonitor:
                     clock=self.clock,
                 ),
                 address=address,
+                launched=launched,
             )
             self._shards[shard_id] = health
         health.address = address
@@ -200,7 +218,11 @@ class HealthMonitor:
         except Exception as err:  # transport, protocol, or draining
             health.failures += 1
             health.last_error = f"{type(err).__name__}: {err}"
-            health.breaker.record_fault(health.last_error)
+            # Until its first pong a shard in the ring is still booting;
+            # once ejected (process exit, forwarding errors) every
+            # failed re-probe counts again.
+            if not (health.starting and health.healthy):
+                health.breaker.record_fault(health.last_error)
             return False
         health.last_pong = pong
         health.last_error = None

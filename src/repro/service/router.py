@@ -362,7 +362,7 @@ class Router:
             shard_id = f"remote-{index:02d}"
             self._shards[shard_id] = self._make_remote_shard(shard_id, address)
         for shard in self._shards.values():
-            self.health.watch(shard.id, shard.spec.address)
+            self.health.watch(shard.id, shard.spec.address, launched=shard.spec.local)
         self._rebuild_ring()
 
     def _rebuild_ring(self) -> None:

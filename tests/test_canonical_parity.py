@@ -22,29 +22,38 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.analysis.attacks import standard_testers
-from repro.analysis.environment import env_secrecy
+from repro.analysis.environment import env_freshness, env_secrecy
 from repro.analysis.intruder import eavesdropper, impersonator, replayer
 from repro.analysis.properties import authentication, freshness
 from repro.analysis.secrecy import keeps_secret
 from repro.core.substitution import freshen_bound
 from repro.core.terms import Name
-from repro.equivalence.testing import compose, may_preorder
+from repro.equivalence.testing import Configuration, compose, may_preorder
 from repro.protocols.library import narration_configuration
 from repro.protocols.paper import OBSERVE
 from repro.protocols.zoo import ZOO
 from repro.runtime.checkpoint import Checkpoint
 from repro.runtime.faults import FaultPlan, SUCCESSORS, inject_faults
 from repro.runtime.supervisor import run_suite, zoo_jobs
-from repro.semantics import canonical
+from repro.semantics import canonical, reduction
 from repro.semantics.lts import Budget, explore
 from repro.semantics.normalize import normalize
 from repro.semantics.system import instantiate
+from repro.syntax.parser import parse_process
 from repro.syntax.pretty import canonical_process
 
-from tests.conftest import impl_plaintext, spec_single
+from tests.conftest import impl_crypto_multi, impl_plaintext, spec_single
 from tests.test_parser_fuzz import processes
 
 ZOO_NAMES = sorted(ZOO)
+
+#: The replicated zoo at the depths of the ``explore-cold`` benchmark.
+BENCHMARK_HORIZONS = [
+    ("needham-schroeder-sk", 5),
+    ("otway-rees", 4),
+    ("woo-lam", 5),
+    ("yahalom", 4),
+]
 
 #: Supervisor knobs that keep multi-process parity runs fast.
 FAST = {"backoff_base": 0.01, "backoff_cap": 0.05, "heartbeat_grace": 60.0}
@@ -130,6 +139,22 @@ class TestZooGraphParity:
         assert cached == uncached
         assert cached["exhaustion"] is not None
 
+    @pytest.mark.parametrize("mode", ["full", "none"])
+    @pytest.mark.parametrize("name,depth", BENCHMARK_HORIZONS)
+    def test_replicated_exploration_at_benchmark_depth(self, name, depth, mode):
+        # The cached run reuses each replication site's unfold (and its
+        # fresh names); the uncached run freshens on every expansion.
+        # The graphs must still agree key for key.
+        previous = reduction.set_reduction_mode(mode)
+        try:
+            cached, uncached = explore_both_ways(
+                lambda: zoo_system(name, replicate=True), Budget(50_000, depth)
+            )
+        finally:
+            reduction.set_reduction_mode(previous)
+        assert cached == uncached
+        assert cached["exhaustion"] is not None
+
     def test_repeated_cached_runs_identical(self):
         # Re-exploring the same system hits the successor cache (the
         # cached transitions carry the first run's uids) and the
@@ -155,6 +180,31 @@ class TestZooGraphParity:
 
 def verdict_projection(verdict) -> tuple:
     return (verdict.holds, verdict.exhaustive)
+
+
+def exhaustion_projection(exhaustion) -> tuple | None:
+    if exhaustion is None:
+        return None
+    return (exhaustion.reasons, exhaustion.states, exhaustion.depth)
+
+
+def env_projection(verdict) -> tuple:
+    return (
+        verdict.holds,
+        verdict.exhaustive,
+        verdict.states,
+        exhaustion_projection(verdict.exhaustion),
+    )
+
+
+def secrecy_projection(verdict) -> tuple:
+    return (
+        verdict.holds,
+        verdict.exhaustive,
+        verdict.heard,
+        None if verdict.leak is None else verdict.leak.base,
+        exhaustion_projection(verdict.exhaustion),
+    )
 
 
 class TestVerdictParity:
@@ -195,6 +245,73 @@ class TestVerdictParity:
         canonical.set_cache_enabled(False)
         uncached = env_secrecy(impl_plaintext(), "M", budget=Budget(400, 14))
         assert (cached.holds, cached.exhaustive) == (uncached.holds, uncached.exhaustive)
+
+    @pytest.mark.parametrize(
+        "make_verdict",
+        [
+            lambda: env_freshness(impl_crypto_multi(), budget=Budget(400, 10)),
+            lambda: env_secrecy(impl_crypto_multi(), "KAB", budget=Budget(400, 10)),
+            lambda: env_freshness(
+                narration_configuration(
+                    ZOO["otway-rees"](replicate=True),
+                    observed_role="B",
+                    observed_datum="PAYLOAD",
+                ),
+                budget=Budget(300, 8),
+            ),
+        ],
+        ids=["pm2-freshness", "pm2-secrecy", "otway-rees-freshness"],
+    )
+    def test_env_verdicts_on_replicated_protocols(self, make_verdict):
+        # Environment states are keyed on the attacker's raw knowledge,
+        # so they must see the reference path's uid families: two
+        # interleavings that unfold one replication site stay two
+        # states, and the budget truncates at the same frontier.
+        cached = env_projection(make_verdict())
+        canonical.set_cache_enabled(False)
+        assert env_projection(make_verdict()) == cached
+
+    @pytest.mark.parametrize("name,depth", BENCHMARK_HORIZONS)
+    def test_keeps_secret_on_replicated_zoo_at_benchmark_depth(self, name, depth):
+        spec = ZOO[name](replicate=True)
+        config = narration_configuration(
+            spec, observed_role="B", observed_datum="PAYLOAD"
+        ).with_part("E", eavesdropper(Name(spec.channel), messages=6))
+
+        def verdicts():
+            return [
+                secrecy_projection(keeps_secret(config, secret, budget=Budget(50_000, depth)))
+                for secret in ("KAB", "PAYLOAD")
+            ]
+
+        cached = verdicts()
+        canonical.set_cache_enabled(False)
+        assert verdicts() == cached
+
+    def test_keeps_secret_does_not_merge_branches_through_one_site(self):
+        # The replicated responder unfolds at the same site on two
+        # branches that split before it: one sends k, the other {s}k.
+        # No single run gives the spy both; if the site's names were
+        # shared across branches, the union knowledge would derive s.
+        config = Configuration(
+            parts=(
+                ("A", parse_process("(nu g)(g<one>.0 | g<two>.0 | g(y).d<y>.0)")),
+                (
+                    "R",
+                    parse_process(
+                        "!(d(x).(nu k)((nu s)([x = one] c<k>.0 | [x = two] c<{s}k>.0)))"
+                    ),
+                ),
+                ("E", parse_process("c(m).c(n).0")),
+            ),
+            private=(Name("c"), Name("d")),
+        )
+        cached = keeps_secret(config, "s", budget=Budget(500, 10))
+        assert cached.holds and cached.exhaustive
+        canonical.set_cache_enabled(False)
+        assert secrecy_projection(
+            keeps_secret(config, "s", budget=Budget(500, 10))
+        ) == secrecy_projection(cached)
 
     def test_may_preorder(self):
         left = spec_single()

@@ -283,6 +283,47 @@ class TestHealthMonitor:
         assert not monitor.healthy("s0")
         assert not monitor.eject("s0", "again")  # second call: no transition
 
+    def test_starting_shard_is_not_ejected_before_its_first_pong(self):
+        """A freshly spawned shard is still importing when the first
+        probes arrive; refusals then are not evidence against it."""
+        clock, pinger = _Clock(), _ScriptedPinger()
+        monitor = _monitor(clock, pinger, threshold=2)
+        monitor.watch("s0", "addr0", launched=True)
+        pinger.replies["addr0"] = ConnectionRefusedError("not listening yet")
+        for second in range(1, 8):
+            clock.now = float(second)
+            assert monitor.sweep() == []
+        assert monitor.healthy("s0")
+        assert monitor.snapshot()["s0"]["starting"]
+        assert monitor.snapshot()["s0"]["failures"] == 7
+        pinger.replies["addr0"] = {"status": "pong"}
+        clock.now = 8.0
+        assert monitor.sweep() == []
+        assert not monitor.snapshot()["s0"]["starting"]
+        # From the first pong on, probe failures count as usual.
+        pinger.replies["addr0"] = ConnectionRefusedError("down")
+        clock.now = 9.0
+        assert monitor.sweep() == []
+        clock.now = 10.0
+        assert monitor.sweep() == [("s0", "ejected")]
+
+    def test_starting_shard_that_exits_is_ejected_at_once(self):
+        clock, pinger = _Clock(), _ScriptedPinger()
+        monitor = _monitor(clock, pinger, threshold=2, cooldown=5.0)
+        monitor.watch("s0", "addr0", launched=True)
+        assert monitor.eject("s0", "process exited")
+        assert not monitor.healthy("s0")
+        # Ejected, its re-probes count: a refused half-open probe opens
+        # the breaker again, and the first pong brings it back.
+        pinger.replies["addr0"] = ConnectionRefusedError("respawning")
+        clock.now = 5.5
+        assert monitor.sweep() == []
+        assert monitor.snapshot()["s0"]["breaker"]["state"] == "open"
+        pinger.replies["addr0"] = {"status": "pong"}
+        clock.now = 11.0
+        assert monitor.sweep() == [("s0", "recovered")]
+        assert not monitor.snapshot()["s0"]["starting"]
+
     def test_unknown_shards_are_inert(self):
         monitor = _monitor(_Clock(), _ScriptedPinger())
         assert not monitor.note_failure("ghost", "x")

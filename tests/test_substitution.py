@@ -34,6 +34,8 @@ from repro.core.substitution import (
 from repro.core.terms import At, Localized, Name, Pair, SharedEnc, Var
 from repro.core.addresses import RelativeAddress
 
+from tests.test_parser_fuzz import processes
+
 a, b, k, m, n = Name("a"), Name("b"), Name("k"), Name("m"), Name("n")
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -117,6 +119,48 @@ class TestProcessSubstitution:
         p = Parallel(Output(Channel(a), x, Nil()), Input(Channel(a), y, Output(Channel(b), y, Nil())))
         q = subst(p, {x: m})
         assert free_variables(q) == frozenset()
+
+
+class TestSubstitutionSharing:
+    """Substitution returns what it does not change as the same object,
+    so interned subtrees keep their identity."""
+
+    def test_untouched_process_is_returned_itself(self):
+        p = Input(
+            Channel(a),
+            y,
+            Case(y, (z,), k, Parallel(Output(Channel(b), Pair(y, z), Nil()), Nil())),
+        )
+        assert subst(p, {x: m}) is p
+
+    def test_untouched_term_is_returned_itself(self):
+        term = Localized((0,), Pair(SharedEnc((y, m), k), y))
+        assert subst_term(term, {x: m}) is term
+
+    def test_parallel_keeps_the_branch_it_does_not_touch(self):
+        touched = Output(Channel(a), x, Nil())
+        untouched = Input(Channel(b), y, Output(Channel(a), y, Nil()))
+        q = subst(Parallel(touched, untouched), {x: m})
+        assert q.left == Output(Channel(a), m, Nil())
+        assert q.right is untouched
+
+    def test_continuation_below_the_change_is_shared(self):
+        rest = Input(Channel(b), y, Output(Channel(a), Pair(y, n), Nil()))
+        q = subst(Output(Channel(a), x, rest), {x: m})
+        assert q.payload == m
+        assert q.continuation is rest
+
+    def test_renamed_binder_rebuilds_only_its_scope(self):
+        sibling = Output(Channel(b), n, Nil())
+        p = Parallel(Input(Channel(a), y, Output(Channel(b), Pair(x, y), Nil())), sibling)
+        q = subst(p, {x: y})
+        assert q.left.binder != y  # capture avoided as before
+        assert q.right is sibling
+
+    @given(processes())
+    def test_closed_process_is_shared_whole(self, p):
+        # Generated binders are v0, v1, ...; x occurs nowhere in p.
+        assert subst(p, {x: m}) is p
 
 
 class TestRenaming:
