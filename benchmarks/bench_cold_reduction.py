@@ -4,8 +4,8 @@ Measures *effective* cold throughput of the reducer of
 :mod:`repro.semantics.reduction` on replicated (multi-session) zoo
 protocols: every run explores the same depth-bounded slice of the
 state space to exhaustion, once with reduction off (``none``) and once
-with partial-order + symmetry pruning (``full``).  Symmetry merging
-means the reduced exploration materializes *fewer* states while
+with symmetry merging of permuted sessions (``full``).  Merging means
+the reduced exploration materializes *fewer* states while
 covering the same behaviour, so the honest throughput figure is
 
     effective states/s  =  baseline states / reduced seconds

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.analysis.knowledge import Knowledge, synthesizable
 from repro.analysis.properties import authentication_violation, freshness_violation
@@ -108,38 +108,15 @@ def env_successors(
     env_loc: Location,
     channels: frozenset[str],
     synth_depth: int = 1,
-    tau_visited: Optional[Callable[[Transition], bool]] = None,
 ) -> Iterator[EnvStep]:
     """Every step of the environment-sensitive semantics.
 
     ``channels`` restricts the environment to the protocol wires (the
     set ``C`` of Definition 4, by base spelling); honest internal steps
     are not restricted.
-
-    ``tau_visited`` (supplied by :func:`env_explore`) enables
-    partial-order reduction of the honest internal steps: it is the
-    cycle proviso over *environment* states.  Invisibility here is
-    stricter than in the plain semantics — a restricted channel the
-    attacker can derive is one it can hear or say on, so such channels
-    never seed an ample set (the ``externally_visible`` veto below).
-    Hear/say steps and knowledge are untouched by the reduction: a
-    deferred independent transition neither changes the attacker's
-    knowledge nor removes a pending action at another leaf.
     """
-
-    def externally_visible(info) -> bool:
-        ch = info.channel
-        return ch.base in channels and (
-            ch.uid is None or state.knowledge.can_derive(ch)
-        )
-
     # Honest internal steps (the environment idles).
-    steps = reduction.reduced_successors(
-        state.system,
-        is_visited=tau_visited,
-        externally_visible=externally_visible,
-    )
-    for step in steps:
+    for step in reduction.reduced_successors(state.system):
         yield EnvStep("tau", step.action, EnvState(step.target, state.knowledge))
 
     actions = [
@@ -250,15 +227,8 @@ def env_explore(
     """
     initial, env_loc, channels = env_initial(config, env_role, initial_knowledge)
 
-    def expand(state: EnvState, visited) -> Iterator[EnvStep]:
-        atoms = state.knowledge.atoms
-        return env_successors(
-            state,
-            env_loc,
-            channels,
-            synth_depth,
-            tau_visited=lambda step: visited((step.target.canonical_key(), atoms)),
-        )
+    def expand(state: EnvState) -> Iterator[EnvStep]:
+        return env_successors(state, env_loc, channels, synth_depth)
 
     graph = Graph(initial=initial.key())
     # States are keyed on raw knowledge, so the uid families must be

@@ -321,7 +321,7 @@ def secrecy_witness(
             for name in node.system.private
         )
 
-    def expand(node: EnvState, _visited) -> list[_SpyStep]:
+    def expand(node: EnvState) -> list[_SpyStep]:
         steps = []
         for transition in successors(node.system):
             known = node.knowledge

@@ -31,10 +31,9 @@ blocks) and ``--profile [FILE]`` (cProfile the run; ``.prof`` files
 take the binary dump, anything else a text table).  The same commands
 accept ``--no-state-cache`` to bypass the hash-consed canonical state
 cache (see ``docs/performance.md``); verdicts and graphs are identical
-either way.  ``--reduce {none,por,sym,full}`` selects the state-space
-reduction mode (partial-order and/or symmetry pruning, default
-``full``); verdicts are identical in every mode, only the number of
-explored states changes.
+either way.  ``--reduce {none,full}`` switches symmetry merging of
+replicated sessions off or on (default ``full``); verdicts are
+identical in both modes, only the number of explored states changes.
 
 ``explore``/``analyze``/``check`` share the resilient-runtime flags:
 ``--deadline SECONDS`` bounds wall-clock time (a partial, qualified
@@ -164,12 +163,12 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--reduce",
-        choices=("none", "por", "sym", "full"),
+        choices=("none", "full"),
         default=None,
-        help="state-space reduction mode: partial-order ('por'), "
-        "symmetry ('sym'), both ('full', the default) or neither "
-        "('none'); verdicts are identical in every mode, only the "
-        "number of explored states changes (see docs/performance.md)",
+        help="state-space reduction mode: symmetry merging of replicated "
+        "sessions ('full', the default) or none ('none'); verdicts are "
+        "identical in both modes, only the number of explored states "
+        "changes (see docs/performance.md)",
     )
     parser.add_argument(
         "--trace",
@@ -1573,15 +1572,10 @@ def _dispatch(args: argparse.Namespace, out) -> int:
         # Same double bookkeeping as --no-state-cache below: the env
         # var makes spawned suite/serve/cluster workers inherit the
         # mode, the in-process switch covers this interpreter, and both
-        # are restored because tests call main() repeatedly.  An
-        # explicit flag also outranks the REPRO_NO_REDUCTION escape
-        # hatch, which is cleared for the duration so workers agree
-        # with the parent.
+        # are restored because tests call main() repeatedly.
         previous_mode = reduction.set_reduction_mode(reduce_mode)
         previous_env = os.environ.get(canonical.REDUCTION_ENV)
-        previous_off = os.environ.get(canonical.NO_REDUCTION_ENV)
         os.environ[canonical.REDUCTION_ENV] = reduce_mode
-        os.environ.pop(canonical.NO_REDUCTION_ENV, None)
         try:
             args = argparse.Namespace(**{**vars(args), "reduce": None})
             return _dispatch(args, out)
@@ -1591,8 +1585,6 @@ def _dispatch(args: argparse.Namespace, out) -> int:
                 os.environ.pop(canonical.REDUCTION_ENV, None)
             else:
                 os.environ[canonical.REDUCTION_ENV] = previous_env
-            if previous_off is not None:
-                os.environ[canonical.NO_REDUCTION_ENV] = previous_off
     if getattr(args, "certify", False):
         import os
 

@@ -102,11 +102,10 @@ def weakly_bisimilar(
 ) -> BisimulationResult:
     """Are the two systems barbed-weakly bisimilar (up to the budget)?"""
     ctl = resolve_control(control)
-    # Branching-time equivalences are not preserved by partial-order
-    # reduction (pruned interleavings change the simulation game), so
-    # both sides are explored with full branching.
-    left_graph = explore(left, budget, ctl, use_por=False)
-    right_graph = explore(right, budget, ctl, use_por=False)
+    # Symmetry merging is a quotient by an automorphism of the LTS, so
+    # the explored graphs keep the branching the bisimulation game reads.
+    left_graph = explore(left, budget, ctl)
+    right_graph = explore(right, budget, ctl)
     noted: list[str] = []
     relation = largest_bisimulation(left_graph, right_graph, ctl, noted)
     return BisimulationResult(

@@ -92,9 +92,9 @@ def must_pass_system(
     """Does every maximal run of ``system`` reach a state exhibiting
     ``barb``?"""
     ctl = resolve_control(control)
-    # Must-testing is branching/divergence-sensitive: POR collapses
-    # interleavings and could hide a divergence, so explore fully.
-    graph = explore(system, budget, ctl, use_por=False)
+    # Must-testing is branching/divergence-sensitive; symmetry merging
+    # (a quotient by an LTS automorphism) keeps both.
+    graph = explore(system, budget, ctl)
     noted: list[str] = []
     avoiding = avoiding_states(graph, barb, ctl, noted)
     exhaustion = Exhaustion.merge(

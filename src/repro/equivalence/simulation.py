@@ -188,11 +188,10 @@ def weakly_simulated(
     ``left = (nu C)(P_concrete | X)`` and ``right = (nu C)(P_abstract | X)``.
     """
     ctl = resolve_control(control)
-    # Branching-time equivalences are not preserved by partial-order
-    # reduction (pruned interleavings change the simulation game), so
-    # both sides are explored with full branching.
-    left_graph = explore(left, budget, ctl, use_por=False)
-    right_graph = explore(right, budget, ctl, use_por=False)
+    # Symmetry merging is a quotient by an automorphism of the LTS, so
+    # the explored graphs keep the branching the simulation game reads.
+    left_graph = explore(left, budget, ctl)
+    right_graph = explore(right, budget, ctl)
     noted: list[str] = []
     relation = largest_simulation(left_graph, right_graph, ctl, noted)
     return SimulationResult(
@@ -220,8 +219,8 @@ def find_unsimulated_state(
     a concrete behaviour of the left system with no abstract counterpart.
     """
     ctl = resolve_control(control)
-    left_graph = explore(left, budget, ctl, use_por=False)
-    right_graph = explore(right, budget, ctl, use_por=False)
+    left_graph = explore(left, budget, ctl)
+    right_graph = explore(right, budget, ctl)
     relation = largest_simulation(left_graph, right_graph, ctl)
     related_left = {p for p, _ in relation}
     for key, state in left_graph.states.items():

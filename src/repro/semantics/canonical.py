@@ -46,8 +46,9 @@ Invalidation rules (see ``docs/performance.md``):
 
 Cache effectiveness is observable through ``canonical.hit`` /
 ``canonical.miss`` (and ``successor.hit`` / ``successor.miss``)
-counters published to :mod:`repro.obs.metrics` by the exploration
-loops; see :func:`metrics_snapshot` / :func:`publish_cache_metrics`.
+counters, symmetry merging through ``reduction.sym_merge``, all
+published to :mod:`repro.obs.metrics` by the exploration loops; see
+:func:`metrics_snapshot` / :func:`publish_cache_metrics`.
 """
 
 from __future__ import annotations
@@ -93,16 +94,13 @@ from repro.syntax.pretty import canonical_process
 #: ``--no-state-cache`` choice.
 DISABLE_ENV = "REPRO_NO_STATE_CACHE"
 
-#: Reduction-mode environment switches (shared with
+#: Reduction-mode environment switch (shared with
 #: :mod:`repro.semantics.reduction`, which lives above this module in
-#: the import graph).  ``REPRO_NO_REDUCTION`` forces mode ``none``;
-#: ``REPRO_REDUCTION`` selects an explicit mode.  Both are read at
-#: import time so spawn-context workers inherit the parent's choice,
-#: exactly like ``REPRO_NO_STATE_CACHE``.
-NO_REDUCTION_ENV = "REPRO_NO_REDUCTION"
+#: the import graph): ``none`` turns symmetry merging off, anything else
+#: leaves the default ``full``.  Read at import time so spawn-context
+#: workers inherit the parent's choice, exactly like
+#: ``REPRO_NO_STATE_CACHE``.
 REDUCTION_ENV = "REPRO_REDUCTION"
-
-REDUCTION_MODES = ("none", "por", "sym", "full")
 
 #: Full-clear threshold for the intern table (node count).  Clearing is
 #: all-or-nothing by design — see the module docstring.
@@ -116,24 +114,13 @@ def _env_disabled() -> bool:
     return os.environ.get(DISABLE_ENV, "").strip().lower() in {"1", "true", "yes", "on"}
 
 
-def env_reduction_mode() -> str:
-    """The reduction mode requested by the environment.
-
-    ``REPRO_NO_REDUCTION`` wins over ``REPRO_REDUCTION``; an absent or
-    unknown ``REPRO_REDUCTION`` value means the default ``full``.
-    """
-    if os.environ.get(NO_REDUCTION_ENV, "").strip().lower() in {"1", "true", "yes", "on"}:
-        return "none"
-    mode = os.environ.get(REDUCTION_ENV, "").strip().lower()
-    return mode if mode in REDUCTION_MODES else "full"
-
-
 _enabled: bool = not _env_disabled()
 
-#: Is symmetry canonicalization active?  Owned here (rather than in
+#: Is symmetry canonicalization active?  The one record of the
+#: reduction mode: owned here (rather than in
 #: :mod:`repro.semantics.reduction`) because key assembly must not
 #: depend on modules that import this one.
-_symmetry: bool = env_reduction_mode() in {"sym", "full"}
+_symmetry: bool = os.environ.get(REDUCTION_ENV, "").strip().lower() != "none"
 
 #: May a replication unfold reuse the copy its site produced before
 #: (:func:`repro.semantics.transitions._unfold`)?  Off inside
@@ -197,16 +184,15 @@ def symmetry_enabled() -> bool:
 def set_symmetry_enabled(enabled: bool) -> bool:
     """Switch symmetry canonicalization; returns the previous setting.
 
-    Flipping the switch drops the symmetric-key memos: plain and
-    symmetric keys for the same tree differ, so entries computed under
-    the other setting must never be served.
+    Flipping the switch drops every cache: plain and symmetric keys for
+    the same tree differ, and memoized successor targets carry keys
+    computed under the old setting, so nothing may be served across.
     """
     global _symmetry
     previous = _symmetry
     _symmetry = bool(enabled)
     if previous != _symmetry:
-        _sym_keys.clear()
-        _blind_memo.clear()
+        clear_caches()
     return previous
 
 
@@ -873,11 +859,10 @@ def successor_key(system) -> Optional[tuple]:
 
 
 def successor_get(handle: tuple):
-    """Cached successor batch for ``handle``, or ``None``.
+    """Cached successor transitions for ``handle``, or ``None``.
 
-    The payload is opaque to this module (an immutable
-    :class:`~repro.semantics.transitions.StepBatch`); callers must not
-    mutate it.
+    The payload is opaque to this module (the tuple of transitions
+    :func:`~repro.semantics.transitions.batched_successors` built).
     """
     global _successor_hits, _successor_misses
     key, _node = handle
@@ -890,10 +875,10 @@ def successor_get(handle: tuple):
     return entry[1]
 
 
-def successor_put(handle: tuple, batch) -> None:
-    """Record the computed successor batch of one state (LRU-bounded)."""
+def successor_put(handle: tuple, transitions: tuple) -> None:
+    """Record the computed successor transitions of one state (LRU-bounded)."""
     key, node = handle
-    _successors[key] = (node, batch)
+    _successors[key] = (node, transitions)
     _successors.move_to_end(key)
     while len(_successors) > SUCCESSOR_CACHE_SIZE:
         _successors.popitem(last=False)
@@ -904,16 +889,19 @@ def successor_put(handle: tuple, batch) -> None:
 # ----------------------------------------------------------------------
 
 
-def metrics_snapshot() -> tuple[int, int, int, int]:
-    """Monotonic cache counters ``(canonical hit/miss, successor
-    hit/miss)`` — snapshot before a run, diff after, publish the delta."""
-    return (_canonical_hits, _canonical_misses, _successor_hits, _successor_misses)
+def metrics_snapshot() -> tuple[int, int, int, int, int]:
+    """Monotonic counters ``(canonical hit/miss, successor hit/miss,
+    symmetry reorders)`` — snapshot before a run, diff after, publish
+    the delta."""
+    return (_canonical_hits, _canonical_misses, _successor_hits, _successor_misses,
+            _sym_reorders)
 
 
-_METRIC_NAMES = ("canonical.hit", "canonical.miss", "successor.hit", "successor.miss")
+_METRIC_NAMES = ("canonical.hit", "canonical.miss", "successor.hit", "successor.miss",
+                 "reduction.sym_merge")
 
 
-def publish_cache_metrics(metrics, before: tuple[int, int, int, int]) -> None:
+def publish_cache_metrics(metrics, before: tuple[int, int, int, int, int]) -> None:
     """Publish counter deltas since ``before`` to a metrics registry."""
     after = metrics_snapshot()
     for name, b, a in zip(_METRIC_NAMES, before, after):

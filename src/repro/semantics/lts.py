@@ -212,7 +212,7 @@ def snapshot_exploration(graph: Graph, queue: deque[tuple[str, int]]) -> Graph:
 
 def _bfs(
     graph: Graph,
-    successors: Callable[[Any, Callable[[Hashable], bool]], Iterable],
+    successors: Callable[[Any], Iterable],
     key_of: Callable[[Any], Hashable],
     budget: Budget,
     control: RunControl,
@@ -225,13 +225,11 @@ def _bfs(
 ) -> Optional[Hashable]:
     """The breadth-first search kernel: explore into ``graph``.
 
-    ``successors(state, visited)`` returns the steps to expand from a
-    state, each carrying its ``target`` state; ``visited(key)`` tells
-    whether a key is already recorded (the partial-order reducer's cycle
-    proviso).  ``key_of`` maps a state to its dedupe key.  With
-    ``initial`` the run starts afresh from that state (whose key must be
-    ``graph.initial``); otherwise it continues from ``frontier``, the
-    ``(key, depth)`` pairs of a partial graph.
+    ``successors(state)`` returns the steps to expand from a state, each
+    carrying its ``target`` state.  ``key_of`` maps a state to its
+    dedupe key.  With ``initial`` the run starts afresh from that state
+    (whose key must be ``graph.initial``); otherwise it continues from
+    ``frontier``, the ``(key, depth)`` pairs of a partial graph.
 
     ``goal`` sees every state when it is first discovered — before the
     state budget applies, since the path to it is already concrete —
@@ -246,7 +244,6 @@ def _bfs(
     one publication of the ``{family}.*`` metrics.
     """
     states, edges, parents = graph.states, graph.edges, graph.parents
-    visited = states.__contains__
     queue: deque[tuple[Hashable, int]] = deque(frontier)
     reasons: list[str] = []
     detail: Optional[str] = None
@@ -258,7 +255,6 @@ def _bfs(
     last_saved = len(states)
     recorded = expanded = transitions = dedup_hits = max_queue = 0
     cache_before = canonical.metrics_snapshot()
-    reduction_before = reduction.metrics_snapshot()
 
     def note(reason: str) -> None:
         if reason not in reasons:
@@ -287,7 +283,7 @@ def _bfs(
             out: list = []
             partial = False
             try:
-                for step in successors(states[key], visited):
+                for step in successors(states[key]):
                     target = step.target
                     target_key = key_of(target)
                     if target_key in states:
@@ -361,48 +357,26 @@ def _bfs(
         metrics.set_gauge(f"{family}.queue_depth", max_queue)
         metrics.observe(f"{family}.seconds", elapsed)
         canonical.publish_cache_metrics(metrics, cache_before)
-        reduction.publish_reduction_metrics(metrics, reduction_before)
     return found
-
-
-def _plain_successors(use_por: bool) -> Callable:
-    """The kernel's successor function for the plain semantics.
-
-    ``reduction.reduced_successors`` is looked up at call time, so a
-    wrapper installed on the module sees every expansion.
-    """
-
-    def expand(state: System, visited: Callable[[Hashable], bool]) -> list[Transition]:
-        return reduction.reduced_successors(
-            state,
-            is_visited=(
-                (lambda step: visited(step.target.canonical_key())) if use_por else None
-            ),
-        )
-
-    return expand
 
 
 def explore(
     system: System,
     budget: Budget = DEFAULT_BUDGET,
     control: Optional[RunControl] = None,
-    use_por: bool = True,
 ) -> Graph:
     """Breadth-first exploration of the tau-reachable states.
 
-    ``use_por=False`` opts this exploration out of partial-order
-    reduction (even when the global mode enables it): callers that need
-    the *full branching structure* — bisimulation, simulation and
-    must-testing are not preserved by POR, which only keeps
-    trace/reachability-style properties — pass False.  Symmetry
-    reduction (a quotient by an automorphism of the LTS) remains active
-    and is sound for those checks.
+    Under the default reduction mode, states that differ only by a
+    permutation of replicated sessions share one key (see
+    :mod:`repro.semantics.reduction`): a quotient by an automorphism of
+    the LTS, so the graph keeps the full branching structure that
+    bisimulation, simulation and must-testing read.
     """
     graph = Graph(initial=system.canonical_key())
     with trace_span("lts.explore", max_states=budget.max_states,
                     max_depth=budget.max_depth):
-        _bfs(graph, _plain_successors(use_por), System.canonical_key, budget,
+        _bfs(graph, reduction.reduced_successors, System.canonical_key, budget,
              resolve_control(control), initial=system, autosave=True)
     return graph
 
@@ -411,7 +385,6 @@ def resume_exploration(
     graph: Graph,
     budget: Budget = DEFAULT_BUDGET,
     control: Optional[RunControl] = None,
-    use_por: bool = True,
 ) -> Graph:
     """Continue a partial exploration from its pending frontier.
 
@@ -439,7 +412,7 @@ def resume_exploration(
         return resumed
     with trace_span("lts.resume", prior_states=len(graph.states),
                     max_states=budget.max_states, max_depth=budget.max_depth):
-        _bfs(resumed, _plain_successors(use_por), System.canonical_key, budget,
+        _bfs(resumed, reduction.reduced_successors, System.canonical_key, budget,
              resolve_control(control), frontier=frontier, autosave=True)
     return resumed
 
@@ -478,15 +451,12 @@ def search(
     first discovered, so a match the state budget would have refused
     is still reported.
 
-    Under partial-order reduction the search remains complete for the
-    predicates this codebase uses (leaf-local/stutter-invariant facts:
-    barbs, heard-sets, activation fingerprints) because every pruned
-    interleaving reaches a representative where the same leaves and
-    pending actions occur; a predicate sensitive to the *ordering* of
-    independent internal steps would need ``--reduce none``.
+    Under symmetry merging the search tests one representative per
+    permutation class of replicated sessions; a predicate that tells
+    permuted sessions apart needs ``--reduce none``.
     """
     graph = Graph(initial=system.canonical_key())
-    found = _bfs(graph, _plain_successors(True), System.canonical_key, budget,
+    found = _bfs(graph, reduction.reduced_successors, System.canonical_key, budget,
                  resolve_control(control), initial=system, goal=predicate,
                  family="search")
     if found is None:

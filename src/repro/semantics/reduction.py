@@ -1,143 +1,70 @@
-"""Cold-path state-space reduction: partial order + symmetry.
+"""State-space reduction: symmetry merging of replicated sessions.
 
-The exploration loops expand strictly fewer states without changing a
-single verdict, by two orthogonal prunings:
-
-**Partial-order reduction (ample sets).**  At each state, the reducer
-looks for a transition that can serve as a *persistent singleton
-ample set*: firing only it, and postponing every other enabled
-transition, loses no behaviour relevant to any verdict.  A transition
-``t`` on channel ``ch`` qualifies when
-
-1. *invisibility* — ``ch`` is restricted (``ch in system.private``), so
-   ``t`` contributes no barb and no observable the may-testing or
-   environment layers could distinguish (public channels — including
-   every tester's observe wire, which sits outside the restriction —
-   never qualify);
-2. *single commitment* — ``t``'s two leaves each offer exactly one
-   pending prefix (``t``'s own ends), so no other enabled transition
-   touches them, and neither end was reached through a replication
-   unfold (an unfold leaves its template in place, so the leaf is
-   never actually committed and an infinite chain of fresh unfoldings
-   would postpone everything else without ever closing a cycle);
-3. *channel confinement* — every occurrence of ``ch`` in the whole
-   tree, in any polarity and including occurrences inside transmitted
-   terms, lies inside ``t``'s two leaf subtrees, and no prefix outside
-   them has a variable channel subject that substitution could later
-   bind to ``ch``.  Then ``t`` is the unique transition on ``ch`` now
-   and forever, and every other transition — current or future —
-   rewrites disjoint leaves, hence commutes with ``t``;
-4. *cycle proviso* — ``t``'s target has not been visited already
-   (checked through a caller-supplied predicate), preventing the
-   classic ignoring problem where postponed transitions chase a cycle
-   of ample steps forever.
-
-Conditions 1–3 make ``{t}`` persistent and invisible: every pruned
-interleaving commutes, state by state, to the representative that
-fires ``t`` first, with identical actions on identical edges; the
-pending-action sets other analyses scan (activation collection,
-barb/convergence checks, spy hearing) are preserved along the way.
-Occurrence sets are memoized per interned node, so the confinement
-check walks shared subtrees once and is pointer-cheap afterwards.
-
-**Symmetry reduction.**  Replicated sessions that differ only by a
-permutation of structurally identical copies are merged at the
-canonical-key level — see the symmetry section of
-:mod:`repro.semantics.canonical`, which owns the machinery (key
-assembly cannot depend on this module).
+Replicated sessions that differ only by a permutation of structurally
+identical copies are merged at the canonical-key level — see the
+symmetry section of :mod:`repro.semantics.canonical`, which owns the
+machinery and the on/off switch (key assembly cannot depend on this
+module).  The merge is a quotient by an automorphism of the transition
+system, so it preserves reachability, deadlocks, the may-testing
+preorder and the simulation/bisimulation games alike: an exhaustive
+verdict is the same with it on or off, and only the number of explored
+states (hence how far a budget reaches) changes.
 
 Modes are selected with :func:`set_reduction_mode` (CLI flag
-``--reduce {none,por,sym,full}``) or the environment
-(``REPRO_REDUCTION``, with the ``REPRO_NO_REDUCTION`` escape hatch
-winning), both read at import so spawn-context suite/serve/cluster
-workers inherit the parent's choice, like ``REPRO_NO_STATE_CACHE``.
-Effectiveness is observable through the ``reduction.ample_hit`` /
-``reduction.sym_merge`` counters published by the exploration loops.
+``--reduce {none,full}``) or the ``REPRO_REDUCTION`` environment
+variable, read at import so spawn-context suite/serve/cluster workers
+inherit the parent's choice, like ``REPRO_NO_STATE_CACHE``.
+Effectiveness is observable through the ``reduction.sym_merge``
+counter published by the exploration loops.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterator, Optional
+from typing import Iterator
 
 from repro.core.addresses import Location
 from repro.core.errors import SemanticsError
-from repro.core.processes import Input, Output, Parallel, Process, Restriction
-from repro.core.terms import Localized, Name, payload
+from repro.core.processes import Parallel, Process
+from repro.core.terms import Localized, Name
 from repro.semantics import canonical
 from repro.semantics.actions import Transition
-from repro.semantics.canonical import (
-    NO_REDUCTION_ENV,
-    REDUCTION_ENV,
-    REDUCTION_MODES,
-    env_reduction_mode,
-)
 from repro.semantics.system import System
-from repro.semantics.transitions import StepBatch, StepInfo, batched_successors
+from repro.semantics.transitions import batched_successors
 
 __all__ = [
     "MODES",
-    "NO_REDUCTION_ENV",
-    "REDUCTION_ENV",
-    "independent",
-    "metrics_snapshot",
     "permute_sessions",
-    "por_enabled",
-    "publish_reduction_metrics",
     "reduced_successors",
     "reduction_mode",
     "set_reduction_mode",
-    "sym_enabled",
+    "suspended",
 ]
 
-MODES = REDUCTION_MODES
-
-_mode: str = env_reduction_mode()
-canonical.set_symmetry_enabled(_mode in {"sym", "full"})
-
-_ample_hits = 0
+MODES = ("none", "full")
 
 
 def reduction_mode() -> str:
-    """The active reduction mode (``none``/``por``/``sym``/``full``)."""
-    return _mode
+    """The active reduction mode: ``full`` (symmetry merging) or ``none``."""
+    return "full" if canonical.symmetry_enabled() else "none"
 
 
 def set_reduction_mode(mode: str) -> str:
-    """Select the reduction mode; returns the previous one.
-
-    Clears the canonical caches on a change: state keys and memoized
-    batches computed under one mode must never leak into another.
-    """
-    global _mode
+    """Select the reduction mode; returns the previous one."""
     if mode not in MODES:
         raise ValueError(f"unknown reduction mode {mode!r} (expected one of {MODES})")
-    previous = _mode
-    _mode = mode
-    if previous != mode:
-        canonical.set_symmetry_enabled(mode in {"sym", "full"})
-        canonical.clear_caches()
+    previous = reduction_mode()
+    canonical.set_symmetry_enabled(mode == "full")
     return previous
-
-
-def por_enabled() -> bool:
-    return _mode in {"por", "full"}
-
-
-def sym_enabled() -> bool:
-    return _mode in {"sym", "full"}
 
 
 @contextmanager
 def suspended() -> Iterator[None]:
-    """Run a block with all reduction off, restoring the mode after.
+    """Run a block with symmetry merging off, restoring the mode after.
 
-    For analyses that need the *full, location-exact* transition system:
-    branching-sensitive equivalences (bisimulation, must-testing) are
-    not preserved by partial-order reduction, and per-copy diagnostics
-    (session hooking reports) must not merge permuted sessions.
-    Switching modes drops the canonical caches, so this is for cold
-    paths only.
+    For per-copy diagnostics (session hooking reports), which must not
+    merge permuted sessions.  Switching modes drops the canonical
+    caches, so this is for cold paths only.
     """
     previous = set_reduction_mode("none")
     try:
@@ -146,141 +73,15 @@ def suspended() -> Iterator[None]:
         set_reduction_mode(previous)
 
 
-# ----------------------------------------------------------------------
-# Independence
-# ----------------------------------------------------------------------
+def reduced_successors(system: System) -> list[Transition]:
+    """The transitions an exploration expands from ``system``.
 
-
-def independent(a: StepInfo, b: StepInfo) -> bool:
-    """Are two enabled steps independent?
-
-    Sufficient criterion: the four involved leaves are pairwise
-    distinct — the steps rewrite disjoint subtrees, so they commute and
-    neither can disable the other.  Leaf locations are value tuples, so
-    the relation is symmetric by construction and stable under
-    interning of the underlying states.
+    The one successor entry point the exploration kernel and
+    :func:`~repro.analysis.environment.env_successors` look up at call
+    time, so a wrapper installed on this module sees every expansion.
     """
-    return not ({a.out_leaf, a.in_leaf} & {b.out_leaf, b.in_leaf})
-
-
-#: Occurrence memo: id(interned node) -> (names occurring anywhere in
-#: the subtree, does any prefix have a non-name channel subject).
-#: Registered with the canonical clear hooks so entries never outlive
-#: the intern table.
-_occ_memo: dict[int, tuple[frozenset, bool]] = {}
-canonical.register_clear_hook(_occ_memo.clear)
-
-
-def _occurrences(node, memo: Optional[dict]) -> tuple[frozenset, bool]:
-    """All names in a subtree and whether it has a variable channel
-    subject — computed over the interned arena when caching, so shared
-    subtrees are scanned once."""
-    if memo is not None:
-        hit = memo.get(id(node))
-        if hit is not None:
-            return hit
-    names: set = set()
-    var_subject = False
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Name):
-            names.add(cur)
-            continue
-        if memo is not None and cur is not node:
-            sub = memo.get(id(cur))
-            if sub is not None:
-                names.update(sub[0])
-                var_subject = var_subject or sub[1]
-                continue
-        if isinstance(cur, (Output, Input)):
-            if not isinstance(payload(cur.channel.subject), Name):
-                var_subject = True
-        for field in getattr(cur, "__dataclass_fields__", {}):
-            value = getattr(cur, field)
-            if isinstance(value, (tuple, list)):
-                for item in value:
-                    if hasattr(item, "__dataclass_fields__"):
-                        stack.append(item)
-            elif hasattr(value, "__dataclass_fields__"):
-                stack.append(value)
-    result = (frozenset(names), var_subject)
-    if memo is not None:
-        memo[id(node)] = result
-    return result
-
-
-def _confined(root: Process, allowed: tuple[Location, ...], channel: Name, caching: bool) -> bool:
-    """Is every use of ``channel`` (and every variable channel subject)
-    inside the leaf subtrees at ``allowed``?"""
-    memo = _occ_memo if caching else None
-
-    def go(node: Process, at: Location) -> bool:
-        if at in allowed:
-            return True
-        if isinstance(node, Parallel):
-            return go(node.left, at + (0,)) and go(node.right, at + (1,))
-        if isinstance(node, Restriction):
-            return go(node.body, at)
-        names, var_subject = _occurrences(node, memo)
-        return channel not in names and not var_subject
-
-    return go(root, ())
-
-
-# ----------------------------------------------------------------------
-# Reduced successor generation
-# ----------------------------------------------------------------------
-
-
-def reduced_successors(
-    system: System,
-    is_visited: Optional[Callable[[Transition], bool]] = None,
-    externally_visible: Optional[Callable[[StepInfo], bool]] = None,
-) -> list[Transition]:
-    """The transitions an exploration must expand from ``system``.
-
-    With partial-order reduction off (or no ample candidate), this is
-    exactly ``successors(system)``.  ``is_visited`` implements the
-    cycle proviso: it receives a candidate ample transition and returns
-    True when its target state counts as already visited, in which case
-    the reducer falls back to full expansion.  Callers that cannot
-    supply it (diagnostics, traces) get full expansion.
-    ``externally_visible`` lets the environment-sensitive semantics
-    veto candidates whose channel the attacker could interact with
-    (a derivable restricted channel is not invisible *to the
-    environment*).
-    """
-    global _ample_hits
-    batch = batched_successors(system)
-    transitions = list(batch.transitions)
-    if not por_enabled() or is_visited is None or len(transitions) < 2:
-        return transitions
-    caching = canonical.cache_enabled()
-    private = system.private
-    leaf_counts = batch.leaf_counts
-    for step, info in zip(batch.transitions, batch.infos):
-        if info.channel not in private:
-            continue  # visible: firing it alone could hide a barb
-        if info.unfolds:
-            # Replication unfolds never commit their leaf: the template
-            # survives the step, so an ample chain of unfolds is an
-            # infinite fresh-state path on which deferred transitions
-            # would be ignored forever (no cycle for the proviso).
-            continue
-        if leaf_counts.get(info.out_leaf, 0) != 1:
-            continue
-        if leaf_counts.get(info.in_leaf, 0) != 1:
-            continue
-        if externally_visible is not None and externally_visible(info):
-            continue
-        if not _confined(system.root, (info.out_leaf, info.in_leaf), info.channel, caching):
-            continue
-        if is_visited(step):
-            continue  # cycle proviso: expand fully instead
-        _ample_hits += 1
-        return [step]
-    return transitions
+    # batched_successors is looked up in this module, so a wrapper here sees it too.
+    return list(batched_successors(system))
 
 
 # ----------------------------------------------------------------------
@@ -379,25 +180,3 @@ def permute_sessions(system: System, head: Location, order: tuple[int, ...]) -> 
         private=frozenset(rewrite(n) for n in system.private),
         _key_cache=None,
     )
-
-
-# ----------------------------------------------------------------------
-# Observability
-# ----------------------------------------------------------------------
-
-
-def metrics_snapshot() -> tuple[int, int]:
-    """Monotonic ``(ample hits, symmetry reorders)`` counters —
-    snapshot before a run, diff after, publish the delta."""
-    return (_ample_hits, canonical.sym_reorder_count())
-
-
-_METRIC_NAMES = ("reduction.ample_hit", "reduction.sym_merge")
-
-
-def publish_reduction_metrics(metrics, before: tuple[int, int]) -> None:
-    """Publish counter deltas since ``before`` to a metrics registry."""
-    after = metrics_snapshot()
-    for name, b, a in zip(_METRIC_NAMES, before, after):
-        if a > b:
-            metrics.inc(name, a - b)

@@ -7,10 +7,10 @@ violated.  This module re-derives that claim from scratch:
 * the initial system is rebuilt from the sealed recipe, not taken from
   the producer;
 * every step is matched against the **unreduced, uncached** transition
-  relation — replay runs inside :func:`reduction.suspended` (mode
-  ``none``: partial-order reduction and symmetry merging off, which
-  makes ``successors``/``env_successors`` *be* the raw full relation)
-  with the canonical state cache disabled;
+  relation — ``successors``/``env_successors`` *are* the raw full
+  relation in every reduction mode (symmetry merging only touches state
+  keys, which replay never computes), and replay runs with the
+  canonical state cache disabled;
 * the violated property is re-checked at the end of the trace by the
   minimal predicates below, which share no code with the verdict
   producers in :mod:`repro.analysis`.
@@ -31,7 +31,7 @@ from typing import Any, Mapping, Optional, Sequence, Union
 from repro.core.addresses import is_prefix
 from repro.core.errors import ReproError, TermError
 from repro.core.terms import Name, localize, origin
-from repro.semantics import canonical, reduction
+from repro.semantics import canonical
 from repro.semantics.actions import Comm, output_barb
 from repro.semantics.transitions import pending_actions, successors
 
@@ -137,11 +137,7 @@ class _Replayer:
         if kind is None:
             return None  # plain step inside an environment witness
         for step in env_successors(
-            state,
-            self.setup.env_loc,
-            self.setup.channels,
-            self.setup.synth_depth,
-            tau_visited=None,
+            state, self.setup.env_loc, self.setup.channels, self.setup.synth_depth
         ):
             self._spend()
             if step.kind != kind or not _shape_matches(recorded, step.action):
@@ -267,8 +263,8 @@ def replay_witness(
 
     Validates structure, checksum, and engine stamp; rebuilds the
     initial system from the sealed recipe; re-derives every step against
-    the raw transition relation (reduction suspended, state cache
-    disabled); and re-checks the violated property at the trace end.
+    the raw transition relation (state cache disabled); and re-checks
+    the violated property at the trace end.
     Never raises for an invalid witness — the report says why.
     """
     from repro.analysis.witness import Witness, WitnessError, engine_version
@@ -298,32 +294,31 @@ def replay_witness(
     replayer = _Replayer(setup, witness.steps, max_nodes)
     cache_was_enabled = canonical.set_cache_enabled(False)
     try:
-        with reduction.suspended():
-            try:
-                found = replayer.run()
-            except _Exhausted:
-                return _fail(
-                    report,
-                    f"replay budget exhausted after matching "
-                    f"{replayer.deepest}/{len(witness.steps)} step(s)",
-                    matched=replayer.deepest,
-                )
-            if found is None:
-                return _fail(
-                    report,
-                    f"step {replayer.deepest + 1}/{len(witness.steps)} has no "
-                    f"matching unreduced transition",
-                    matched=replayer.deepest,
-                )
-            final_state, actions = found
-            if setup.mode == "env":
-                failure = _final_env(witness, final_state, actions)
+        try:
+            found = replayer.run()
+        except _Exhausted:
+            return _fail(
+                report,
+                f"replay budget exhausted after matching "
+                f"{replayer.deepest}/{len(witness.steps)} step(s)",
+                matched=replayer.deepest,
+            )
+        if found is None:
+            return _fail(
+                report,
+                f"step {replayer.deepest + 1}/{len(witness.steps)} has no "
+                f"matching unreduced transition",
+                matched=replayer.deepest,
+            )
+        final_state, actions = found
+        if setup.mode == "env":
+            failure = _final_env(witness, final_state, actions)
+        else:
+            check = _FINAL_CHECKS.get(witness.kind)
+            if check is None:
+                failure = f"unknown witness kind {witness.kind!r}"
             else:
-                check = _FINAL_CHECKS.get(witness.kind)
-                if check is None:
-                    failure = f"unknown witness kind {witness.kind!r}"
-                else:
-                    failure = check(witness, final_state, actions)
+                failure = check(witness, final_state, actions)
     finally:
         canonical.set_cache_enabled(cache_was_enabled)
     if failure is not None:

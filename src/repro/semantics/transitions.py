@@ -26,7 +26,6 @@ computes every silent transition, implementing the paper's rules:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from repro.core.addresses import AddressError, Location, RelativeAddress
@@ -319,43 +318,6 @@ def synchronize(out: PendingAction, inp: PendingAction, system: System) -> Optio
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class StepInfo:
-    """Leaf/channel anatomy of one transition, for the reducer.
-
-    ``out_leaf``/``in_leaf`` are the leaf locations whose prefixes the
-    step consumes; ``channel`` is the synchronizing subject.  All three
-    are value objects, so info records survive interning unchanged.
-    """
-
-    out_leaf: Location
-    in_leaf: Location
-    channel: Name
-    #: True when either side's prefix was reached through a replication
-    #: unfold (the acting location sits strictly below the spine leaf).
-    #: Such steps never seed an ample set: firing them leaves the
-    #: template in place, so the "single commitment" reading of the
-    #: leaf is wrong and an infinite unfolding chain would defer the
-    #: other transitions forever (the ignoring problem has no cycle to
-    #: trip the proviso on).
-    unfolds: bool = False
-
-
-@dataclass(frozen=True, slots=True)
-class StepBatch:
-    """Every successor of one state, materialized in a single pass.
-
-    ``leaf_counts`` maps each leaf location to the number of pending
-    prefixes it offers (the reducer's single-commitment test).  Batches
-    are immutable by convention — they are shared through the successor
-    cache.
-    """
-
-    transitions: tuple[Transition, ...]
-    infos: tuple[StepInfo, ...]
-    leaf_counts: dict
-
-
 def _rewrite_batch(root: Process, patches: list[dict]) -> list[Process]:
     """Apply each two-leaf patch to ``root`` independently, in one walk.
 
@@ -440,7 +402,7 @@ def _normalize_interned(node: Process, at: Location = ()) -> Process:
     return result
 
 
-def batched_successors(system: System) -> StepBatch:
+def batched_successors(system: System) -> tuple[Transition, ...]:
     """Every silent transition enabled in ``system``, as one batch.
 
     Instrumented for fault injection (:mod:`repro.runtime.faults`): the
@@ -448,10 +410,10 @@ def batched_successors(system: System) -> StepBatch:
     successor-cache lookup so injected-fault schedules see the same
     call sequence whether or not the cache is enabled.
 
-    Batches are memoized per interned state (see
+    The transitions are memoized per interned state (see
     :mod:`repro.semantics.canonical`): re-expanding a state the
     attacker enumeration or an escalated re-exploration has already
-    visited returns the recorded batch — uids included, since the cache
+    visited returns the recorded tuple — uids included, since the cache
     keys on the identity of the hash-consed root.
 
     With the cache enabled, target construction is batched: all patched
@@ -469,9 +431,6 @@ def batched_successors(system: System) -> StepBatch:
         if cached is not None:
             return cached
     actions = pending_actions(system)
-    leaf_counts: dict[Location, int] = {}
-    for act in actions:
-        leaf_counts[act.leaf_loc] = leaf_counts.get(act.leaf_loc, 0) + 1
     outputs = [a for a in actions if a.is_output]
     inputs = [a for a in actions if not a.is_output]
     pairs: list[tuple[PendingAction, PendingAction, Term, Process, Process]] = []
@@ -481,7 +440,6 @@ def batched_successors(system: System) -> StepBatch:
             if matched is not None:
                 pairs.append((out, inp) + matched)
     transitions: list[Transition] = []
-    infos: list[StepInfo] = []
     if cache_handle is not None and pairs:
         patches = [
             {out.leaf_loc: out.wrap(sender), inp.leaf_loc: inp.wrap(receiver)}
@@ -498,12 +456,6 @@ def batched_successors(system: System) -> StepBatch:
                 receiver=inp.act_loc,
             )
             transitions.append(Transition(action=action, target=target))
-            infos.append(StepInfo(
-                out.leaf_loc,
-                inp.leaf_loc,
-                out.channel_subject,
-                unfolds=(out.act_loc != out.leaf_loc or inp.act_loc != inp.leaf_loc),
-            ))
     else:
         for out, inp, value, sender, receiver in pairs:
             new_root = replace_leaves(
@@ -519,22 +471,13 @@ def batched_successors(system: System) -> StepBatch:
                 receiver=inp.act_loc,
             )
             transitions.append(Transition(action=action, target=target))
-            infos.append(StepInfo(
-                out.leaf_loc,
-                inp.leaf_loc,
-                out.channel_subject,
-                unfolds=(out.act_loc != out.leaf_loc or inp.act_loc != inp.leaf_loc),
-            ))
-    batch = StepBatch(tuple(transitions), tuple(infos), leaf_counts)
+    result = tuple(transitions)
     if cache_handle is not None:
-        canonical.successor_put(cache_handle, batch)
-    return batch
+        canonical.successor_put(cache_handle, result)
+    return result
 
 
 def successors(system: System) -> list[Transition]:
-    """Every silent transition enabled in ``system``.
-
-    Thin wrapper over :func:`batched_successors`; callers that need the
-    step anatomy (the partial-order reducer) use the batch directly.
-    """
-    return list(batched_successors(system).transitions)
+    """Every silent transition enabled in ``system``: the full relation,
+    whatever the reduction mode (symmetry only merges state keys)."""
+    return list(batched_successors(system))

@@ -78,7 +78,10 @@ from repro.runtime.journal import Journal
 from repro.runtime.worker import Job
 
 #: Store-record schema version (bumped on incompatible layout changes).
-STORE_VERSION = 1
+#: 2: the key's ``reduce: "full"`` axis means symmetry merging alone
+#: (under 1 it also meant partial-order reduction), so version-1 keys
+#: never match and their records are never served.
+STORE_VERSION = 2
 
 #: Segment filename prefix; everything else in the directory is ignored.
 SEGMENT_PREFIX = "seg-"

@@ -418,39 +418,38 @@ class TestObservabilityFlags:
 
 
 class TestReduceFlag:
-    """``--reduce {none,por,sym,full}`` on every verdicting command."""
+    """``--reduce {none,full}`` on every verdicting command."""
 
-    #: Two independent private communications: the unreduced graph is
-    #: the full diamond, an ample set serializes it to one path.
-    DIAMOND = "(nu a)((nu b)(a<a>.0 | (a(x).0 | (b<b>.0 | b(x).0))))"
+    #: Replicated sessions at a depth both modes exhaust: symmetry
+    #: merging folds permuted sessions, so ``full`` expands fewer states.
+    PM2 = (
+        "secrecy", str(SYSTEMS_DIR / "pm2_impl.spi"), "--secret", "M",
+        "--max-states", "100000", "--max-depth", "4",
+    )
 
     def test_modes_change_exploration_not_exit_codes(self):
-        for mode, states in (("none", 4), ("por", 3), ("sym", 4), ("full", 3)):
-            status, output = run_cli(
-                "explore", "--reduce", mode, "-e", self.DIAMOND
-            )
+        for mode, states in (("none", 202), ("full", 142)):
+            status, output = run_cli(*self.PM2, "--reduce", mode)
             assert status == 0
-            # Symmetry needs role-tagged sessions, so on a plain term
-            # only the partial-order half prunes.
-            assert output.split()[0] == str(states), (mode, output)
+            assert f"over {states} states" in output, (mode, output)
 
     def test_reduction_counters_reach_stats(self, tmp_path):
         import json
 
-        for mode, hits in (("por", 1), ("none", 0)):
+        merges = {}
+        for mode in ("full", "none"):
             stats = tmp_path / f"{mode}.json"
-            status, _ = run_cli(
-                "explore", "--reduce", mode, "--stats", str(stats),
-                "-e", self.DIAMOND,
-            )
+            status, _ = run_cli(*self.PM2, "--reduce", mode, "--stats", str(stats))
             assert status == 0
             counters = json.loads(stats.read_text())["metrics"]["counters"]
-            assert counters.get("reduction.ample_hit", 0) == hits
+            merges[mode] = counters.get("reduction.sym_merge", 0)
+        assert merges["full"] > 0
+        assert merges["none"] == 0
 
     def test_flag_sets_mode_and_env_for_the_run(self, monkeypatch):
         # The env var is what spawned suite/serve/cluster workers
-        # inherit; the flag must set it, beat the REPRO_NO_REDUCTION
-        # escape hatch for the duration, and restore both afterwards.
+        # inherit; the flag must set it for the duration and restore
+        # both it and the in-process mode afterwards.
         import os
 
         import repro.cli as cli
@@ -463,18 +462,15 @@ class TestReduceFlag:
         def spy(args, out):
             seen["mode"] = reduction.reduction_mode()
             seen["env"] = os.environ.get(canonical.REDUCTION_ENV)
-            seen["hatch"] = os.environ.get(canonical.NO_REDUCTION_ENV)
             return real(args, out)
 
         monkeypatch.setattr(cli, "_dispatch_observed", spy)
-        monkeypatch.setenv(canonical.NO_REDUCTION_ENV, "1")
-        monkeypatch.delenv(canonical.REDUCTION_ENV, raising=False)
-        status, _ = run_cli("explore", "--reduce", "sym", "-e", EXAMPLE)
+        monkeypatch.setenv(canonical.REDUCTION_ENV, "full")
+        status, _ = run_cli("explore", "--reduce", "none", "-e", EXAMPLE)
         assert status == 0
-        assert seen == {"mode": "sym", "env": "sym", "hatch": None}
+        assert seen == {"mode": "none", "env": "none"}
         assert reduction.reduction_mode() == before
-        assert os.environ.get(canonical.REDUCTION_ENV) is None
-        assert os.environ.get(canonical.NO_REDUCTION_ENV) == "1"
+        assert os.environ.get(canonical.REDUCTION_ENV) == "full"
 
     def test_exit_codes_stable_across_modes(self):
         for mode in ("none", "full"):
@@ -501,6 +497,12 @@ class TestReduceFlag:
     def test_bad_mode_rejected(self):
         with pytest.raises(SystemExit):
             run_cli("explore", "--reduce", "most", "-e", EXAMPLE)
+
+    @pytest.mark.parametrize("mode", ["por", "sym"])
+    def test_retired_modes_rejected(self, mode):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("explore", "--reduce", mode, "-e", EXAMPLE)
+        assert exc.value.code == 2
 
 
 class TestStatsCommand:

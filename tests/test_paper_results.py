@@ -208,10 +208,7 @@ class TestProposition3:
     def test_messages_in_different_sessions_have_different_origins(self):
         cfg = spec_multi()
         system = compose(cfg)
-        # Per-instance origin diagnostics need every interleaving within
-        # the depth horizon: partial-order reduction defers independent
-        # session startups past the tight budget, so opt out of it.
-        graph = explore(system, Budget(400, 14), use_por=False)
+        graph = explore(system, Budget(400, 14))
         observed_pairs: set[tuple] = set()
         for key in graph.states:
             for transition, _ in graph.successors_of(key):

@@ -1,13 +1,13 @@
 """Differential soundness suite for the cold-path state-space reducer.
 
 The contract of :mod:`repro.semantics.reduction` is that pruning is
-*verdict-invariant*: partial-order reduction and symmetry merging may
+*verdict-invariant*: symmetry merging of replicated sessions may
 collapse the explored graph, but every analysis this codebase exposes
 — secrecy, authentication, freshness, environment-sensitive secrecy,
 may-testing — must report exactly the same verdict with reduction on
 or off, over the whole protocol zoo, under fault injection, across
 checkpoint/resume, and through the multi-process suite runner.  These
-tests run everything in multiple modes and diff the results, and pin
+tests run everything in both modes and diff the results, and pin
 the other half of the bargain: on replicated (multi-session) systems
 the reduced exploration materializes *strictly fewer* states over the
 same horizon.
@@ -50,8 +50,6 @@ from repro.semantics.lts import (
     snapshot_exploration,
 )
 from repro.semantics.system import instantiate
-from repro.semantics.transitions import batched_successors
-from repro.syntax.parser import parse_process
 
 from tests.conftest import impl_plaintext, spec_single
 from tests.test_parser_fuzz import processes
@@ -169,10 +167,8 @@ class TestZooVerdictParity:
 
         assert under("full", all_verdicts) == under("none", all_verdicts)
 
-    def test_all_four_modes_agree_on_replay_attack(self):
-        # The replayer attack on woo-lam is the one a broken ample set
-        # can hide (an unfold chain can defer the observation forever),
-        # so pin every mode of the matrix on it.
+    def test_every_mode_agrees_on_replay_attack(self):
+        # Pin the freshness verdict against woo-lam's replayer in every mode.
         spec = ZOO["woo-lam"]()
         config = narration_configuration(
             spec, observed_role="B", observed_datum="PAYLOAD"
@@ -226,30 +222,11 @@ class TestStateContraction:
             none.state_count(),
         )
 
-    def test_por_collapses_independent_diamond(self):
-        # Two private internal communications commute; the unreduced
-        # graph is the full diamond, the ample-set run serializes it.
-        source = "(nu a)((nu b)(a<a>.0 | (a(x).0 | (b<b>.0 | b(x).0))))"
-
-        def run():
-            before = reduction.metrics_snapshot()
-            graph = explore(instantiate(parse_process(source)), Budget(100, 10))
-            after = reduction.metrics_snapshot()
-            return graph.state_count(), after[0] - before[0]
-
-        states_por, ample = under("por", run)
-        states_none, ample_off = under("none", run)
-        assert states_none == 4
-        assert states_por == 3
-        assert ample > 0
-        assert ample_off == 0
-
     def test_sym_merge_metrics_fire(self):
         def run():
-            before = reduction.metrics_snapshot()
+            before = canonical.sym_reorder_count()
             explore(zoo_system("woo-lam", replicate=True), Budget(2000, 5))
-            after = reduction.metrics_snapshot()
-            return after[1] - before[1]
+            return canonical.sym_reorder_count() - before
 
         assert under("full", run) > 0
         assert under("none", run) == 0
@@ -281,8 +258,8 @@ class TestFaultParity:
     def test_successor_faults_hit_same_ordinals(self, every):
         # With reduction on, cached and uncached runs must still take
         # the identical trajectory — an injected-fault schedule cuts
-        # both at the same point even though sym keys and ample sets
-        # are being recomputed without memos on the second run.
+        # both at the same point even though sym keys are being
+        # recomputed without memos on the second run.
         plan = FaultPlan(every=every, sites=frozenset({SUCCESSORS}))
         budget = Budget(300, 20)
 
@@ -408,15 +385,11 @@ def _suite_records() -> dict:
 
 class TestWorkerSuiteParity:
     def test_workers_and_reduction_modes_agree(self, monkeypatch):
-        # Spawned workers read REPRO_REDUCTION/REPRO_NO_REDUCTION at
-        # import time, so the matrix drives them through the env.
+        # Spawned workers read REPRO_REDUCTION at import time, so the
+        # matrix drives them through the env.
         monkeypatch.setenv(canonical.REDUCTION_ENV, "full")
         reduced = _suite_records()
         monkeypatch.setenv(canonical.REDUCTION_ENV, "none")
-        assert _suite_records() == reduced
-        # The escape hatch wins over any configured mode.
-        monkeypatch.setenv(canonical.REDUCTION_ENV, "full")
-        monkeypatch.setenv(canonical.NO_REDUCTION_ENV, "1")
         assert _suite_records() == reduced
 
 
@@ -429,31 +402,6 @@ FUZZ = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-
-class TestIndependenceProperties:
-    @given(proc=processes())
-    @FUZZ
-    def test_independence_symmetric_and_irreflexive(self, proc):
-        infos = batched_successors(instantiate(proc)).infos
-        for a in infos:
-            # A step always conflicts with itself: shared leaves.
-            assert not reduction.independent(a, a)
-            for b in infos:
-                assert reduction.independent(a, b) == reduction.independent(b, a)
-
-    @given(proc=processes())
-    @FUZZ
-    def test_independence_stable_under_interning(self, proc):
-        system = instantiate(proc)
-        plain = batched_successors(system)
-        interned = system.with_root(canonical.intern_process(system.root))
-        shared = batched_successors(interned)
-        # StepInfo records are value objects: interning the state may
-        # share subtrees but must not perturb the leaf/channel anatomy
-        # the independence relation is computed from.
-        assert plain.infos == shared.infos
-        assert plain.leaf_counts == shared.leaf_counts
 
 
 def _spine_heads(system) -> list[tuple[tuple, list]]:

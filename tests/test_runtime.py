@@ -205,11 +205,11 @@ class TestControl:
         real = reduction.reduced_successors
         calls = {"n": 0}
 
-        def interrupting(system, **kwargs):
+        def interrupting(system):
             calls["n"] += 1
             if calls["n"] >= 3:
                 raise KeyboardInterrupt
-            return real(system, **kwargs)
+            return real(system)
 
         monkeypatch.setattr(reduction, "reduced_successors", interrupting)
         graph = explore(chain_system(10))

@@ -136,6 +136,32 @@ class TestStoreKey:
             reduction.set_reduction_mode(previous)
         assert store_key(job) == base
 
+    def test_version_one_keys_are_never_served(self):
+        # Under store version 1 a ``reduce: "full"`` key also meant
+        # partial-order reduction; now that the mode is symmetry merging
+        # alone, a record keyed that way must stay hidden.
+        import hashlib
+
+        from repro.semantics import reduction
+
+        job = _job()
+        previous = reduction.set_reduction_mode("full")
+        try:
+            material = {
+                "v": 1,
+                "engine": engine_version(),
+                "kind": job.kind,
+                "system": system_signature(job.target),
+                "budget": budget_signature(job),
+            }
+            assert material["budget"]["reduce"] == "full"
+            version_one = hashlib.sha256(
+                json.dumps(material, sort_keys=True, separators=(",", ":")).encode()
+            ).hexdigest()
+            assert store_key(job) != version_one
+        finally:
+            reduction.set_reduction_mode(previous)
+
     def test_worker_defaults_normalize_into_the_key(self):
         """``secret=None`` on a zoo secrecy job *is* the worker default
         ``"KAB"``; ``sender=None`` on authentication *is* ``"A"`` — the

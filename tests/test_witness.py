@@ -240,6 +240,28 @@ class TestCertifiedJobs:
         assert witness["kind"] == "attack"
         assert replay_witness(witness).ok
 
+    @pytest.mark.parametrize(
+        "fixture, kind",
+        [("authentication_result", "authentication"),
+         ("freshness_result", "env-freshness")],
+    )
+    def test_replay_is_the_same_in_every_reduction_mode(self, request, fixture, kind):
+        # Replay matches steps against the raw relation and computes no
+        # state key, so symmetry merging cannot change its report.
+        from repro.semantics import reduction
+
+        witness = request.getfixturevalue(fixture)["witness"]
+        assert witness["kind"] == kind
+        reports = {}
+        for mode in reduction.MODES:
+            previous = reduction.set_reduction_mode(mode)
+            try:
+                reports[mode] = replay_witness(witness)
+            finally:
+                reduction.set_reduction_mode(previous)
+        assert reports["full"].ok
+        assert reports["full"] == reports["none"]
+
     def test_wrong_engine_is_rejected(self, secrecy_result):
         payload = json.loads(json.dumps(secrecy_result["witness"]))
         payload["engine"] = "0.0.0-other"
