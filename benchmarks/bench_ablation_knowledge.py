@@ -2,8 +2,8 @@
 
 The attacker substrate closes heard messages under analysis and
 synthesizes outputs bounded by depth.  This measures both directions as
-the vocabulary grows — the knob behind
-:class:`repro.analysis.intruder.AttackerBudget`.
+the vocabulary grows — the synthesis bound of the most-general attacker
+(:mod:`repro.analysis.environment`).
 """
 
 from __future__ import annotations

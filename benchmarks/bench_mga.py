@@ -2,8 +2,8 @@
 
 One exploration of the environment-sensitive semantics covers every
 attacker within the synthesis bound.  The benchmark re-derives the
-paper's Section 5 verdicts from the MGA alone — no enumerated attacker
-processes, no testers:
+paper's Section 5 verdicts from the MGA alone — no attacker processes,
+no testers:
 
 * P1 fails authentication (ATT1's impersonation, generalized);
 * P2 passes authentication and payload secrecy (Proposition 2);

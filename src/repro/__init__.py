@@ -100,8 +100,6 @@ from repro.analysis.attacks import (
     standard_testers,
 )
 from repro.analysis.intruder import (
-    AttackerBudget,
-    enumerate_attackers,
     forwarder,
     impersonator,
     replayer,
@@ -261,8 +259,8 @@ __all__ = [
     "weakly_bisimilar", "BisimulationResult",
     "must_passes", "must_pass_system", "must_preorder", "MustVerdict",
     # analysis
-    "Knowledge", "synthesizable", "AttackerBudget", "standard_attackers",
-    "enumerate_attackers", "forwarder", "replayer", "impersonator",
+    "Knowledge", "synthesizable", "standard_attackers",
+    "forwarder", "replayer", "impersonator",
     "securely_implements", "find_attack", "Attack",
     "ImplementationVerdict", "origin_tester", "same_origin_tester",
     "standard_testers", "keeps_secret", "SecrecyVerdict",

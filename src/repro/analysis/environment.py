@@ -1,8 +1,8 @@
 """The knowledge-indexed most-general attacker.
 
 :mod:`repro.analysis.intruder` approximates Definition 4's "for all X in
-E_C" by enumerating attacker *processes*.  This module implements the
-stronger, standard alternative: an *environment-sensitive semantics*
+E_C" by a canned suite of attacker *processes*.  This module implements
+the stronger, standard alternative: an *environment-sensitive semantics*
 whose states pair the protocol with the attacker's Dolev-Yao knowledge.
 The environment is not a fixed process — at every point it may
 
@@ -11,9 +11,8 @@ The environment is not a fixed process — at every point it may
 * **say** any message it can synthesize, to any input that admits it.
 
 One exploration of this system covers *every* attacker whose outputs
-stay within the synthesis bound — including all the enumerated ones —
-so a property that holds on the environment graph holds against the
-whole family at once.
+stay within the synthesis bound, so a property that holds on the
+environment graph holds against the whole family at once.
 
 Partner authentication interacts with the environment exactly as with
 process attackers: the environment owns a *location* (a designated part

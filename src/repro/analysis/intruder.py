@@ -1,40 +1,35 @@
-"""Attackers over the protocol channels (the set ``E_C`` of Definition 4).
+"""Canned attackers over the protocol channels (the set ``E_C`` of Definition 4).
 
 Definition 4 quantifies over *every* process that communicates only on
-the protocol channels ``C``.  That set is not enumerable, so the library
-substitutes two finite sources of attackers (documented in DESIGN.md):
+the protocol channels ``C``.  That set is not enumerable, so the
+Definition-4 driver (:func:`repro.analysis.attacks.securely_implements`)
+runs a finite suite of **canned attackers**: the standard manipulations
+every protocol analysis exercises (eavesdrop, intercept, forward,
+replay, impersonate, relay), including the two concrete attackers the
+paper uses in its counterexamples.
 
-* **canned attackers** — the standard manipulations every protocol
-  analysis exercises (eavesdrop, intercept, forward, replay, impersonate,
-  reorder), including the two concrete attackers the paper uses in its
-  counterexamples;
-* **bounded enumeration** (:func:`enumerate_attackers`) — all sequential
-  behaviours of at most ``max_actions`` I/O actions whose outputs are
-  Dolev-Yao synthesizable from what the attacker has heard plus a stock
-  of fresh names.
-
-The enumeration is the classic "most general attacker, bounded" recipe:
-it cannot *prove* Definition 4, but every positive verdict is backed by
-the simulation technique of Propositions 2/4 as well, and every negative
-verdict comes with a concrete witness attack.
+The canned suite cannot *prove* Definition 4.  Every negative verdict
+comes with a concrete witness attack; positive verdicts are backed by
+the simulation technique of Propositions 2/4 and by the
+knowledge-indexed most-general attacker
+(:mod:`repro.analysis.environment`), whose one exploration covers every
+attacker within its synthesis bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.core.processes import (
     Channel,
     Input,
     Nil,
     Output,
-    Parallel,
     Process,
     Replication,
     Restriction,
 )
-from repro.core.terms import Name, Pair, SharedEnc, Term, Var, fresh_uid
+from repro.core.terms import Name, Term, Var, fresh_uid
 
 # ----------------------------------------------------------------------
 # Canned attackers
@@ -119,94 +114,3 @@ def standard_attackers(channels: Sequence[Name]) -> list[tuple[str, Process]]:
             if src != dst:
                 attackers.append((f"relay({src.base}->{dst.base})", relay(src, dst)))
     return attackers
-
-
-# ----------------------------------------------------------------------
-# Bounded most-general attacker enumeration
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class AttackerBudget:
-    """Bounds for :func:`enumerate_attackers`.
-
-    Attributes:
-        max_actions: length of the attacker's action sequence.
-        synth_depth: how many pair/encryption constructors an output may
-            stack on top of heard values and fresh names.
-        fresh_names: how many private names the attacker may invent.
-    """
-
-    max_actions: int = 3
-    synth_depth: int = 1
-    fresh_names: int = 1
-
-
-def _compositions(parts: list[Term], depth: int) -> list[Term]:
-    """Close ``parts`` under pairing/encryption up to ``depth`` levels."""
-    known: list[Term] = list(parts)
-    seen: set[Term] = set(known)
-    frontier = list(known)
-    for _ in range(depth):
-        fresh: list[Term] = []
-        for left in frontier:
-            for right in known:
-                for candidate in (Pair(left, right), SharedEnc((left,), right)):
-                    if candidate not in seen:
-                        seen.add(candidate)
-                        fresh.append(candidate)
-        known.extend(fresh)
-        frontier = fresh
-    return known
-
-
-def enumerate_attackers(
-    channels: Sequence[Name],
-    budget: AttackerBudget = AttackerBudget(),
-) -> Iterator[tuple[str, Process]]:
-    """All sequential attackers within the budget, smallest first.
-
-    Each attacker is a sequence of inputs (hearing a message binds a
-    variable) and outputs (sending any term synthesizable from heard
-    variables and its stock of fresh names).  Every generated process is
-    in ``E_C``: it only ever touches the given channels.
-    """
-    stock = [Name(f"E{i}", fresh_uid(), creator=None) for i in range(budget.fresh_names)]
-
-    def go(
-        actions_left: int, heard: tuple[Var, ...], label: str
-    ) -> Iterator[tuple[str, Process]]:
-        yield (label or "idle", Nil())
-        if actions_left == 0:
-            return
-        for ch in channels:
-            x = Var("x", fresh_uid())
-            for sub_label, sub in go(actions_left - 1, heard + (x,), f"{label}.{ch.base}?"):
-                yield (sub_label, Input(Channel(ch), x, sub))
-            payloads = _compositions(list(heard) + list(stock), budget.synth_depth)
-            for i, message in enumerate(payloads):
-                for sub_label, sub in go(actions_left - 1, heard, f"{label}.{ch.base}!{i}"):
-                    yield (sub_label, Output(Channel(ch), message, sub))
-
-    for label, proc in go(budget.max_actions, (), ""):
-        if isinstance(proc, Nil):
-            continue  # covered by the canned idle attacker
-        # Fresh names the attacker actually uses must be restricted so it
-        # stays a closed process.
-        used = [n for n in stock if n in _names_in(proc)]
-        for name in reversed(used):
-            proc = Restriction(Name(name.base), _unbind(proc, name))
-        yield (label, proc)
-
-
-def _names_in(proc: Process) -> frozenset[Name]:
-    from repro.core.processes import free_names
-
-    return free_names(proc)
-
-
-def _unbind(proc: Process, name: Name) -> Process:
-    """Replace an instantiated stock name by its raw restriction name."""
-    from repro.core.substitution import rename_names
-
-    return rename_names(proc, {name: Name(name.base)})

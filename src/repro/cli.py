@@ -661,7 +661,6 @@ def cmd_cluster(args: argparse.Namespace, out) -> int:
         respawn_cap=args.respawn_cap,
         allow_fault_injection=args.allow_fault_injection,
         verdict_store=args.verdict_store,
-        cross_check=args.cross_check,
     )
     router = Router(config)
     router.bind()
@@ -733,18 +732,6 @@ def cmd_cluster_status(args: argparse.Namespace, out) -> int:
         f" (ring members: {', '.join(ring.get('members', [])) or 'none'})",
         file=out,
     )
-    crosscheck = reply.get("crosscheck")
-    if crosscheck:
-        print(
-            f"cross-check rate {crosscheck.get('rate', 0):g}: "
-            f"{crosscheck.get('sampled', 0)} sampled, "
-            f"{crosscheck.get('agreed', 0)} agreed, "
-            f"{crosscheck.get('divergent', 0)} divergent, "
-            f"{crosscheck.get('errors', 0)} error(s); "
-            f"quarantined: "
-            f"{', '.join(crosscheck.get('quarantined', [])) or 'none'}",
-            file=out,
-        )
     rows = [
         ("SHARD", "ADDRESS", "PID", "ALIVE", "RESTARTS", "INFLIGHT",
          "HEALTHY", "BREAKER", "LAST_ERROR"),
@@ -1294,8 +1281,7 @@ def build_parser() -> argparse.ArgumentParser:
         "version bump (see docs/store.md)",
     )
     _add_certify_argument(p_serve)
-    # The cross-check shard runs `serve --reduce none --no-state-cache`;
-    # the obs flags ride along for parity with the other run commands.
+    # The obs flags ride along for parity with the other run commands.
     _add_obs_arguments(p_serve)
     p_serve.set_defaults(handler=cmd_serve)
 
@@ -1398,16 +1384,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="one shared persistent verdict-cache directory passed to "
         "every shard: cluster-wide repeat traffic and failover "
         "re-drives become store hits (see docs/store.md)",
-    )
-    p_cluster.add_argument(
-        "--cross-check",
-        type=float,
-        default=0.0,
-        metavar="RATE",
-        help="re-run this fraction (0..1) of ok verdicts on a dedicated "
-        "cross-check shard with reduction and the state cache disabled; "
-        "a divergence is journaled to DIR/crosscheck.jsonl and "
-        "quarantines the protocol (see docs/cluster.md)",
     )
     p_cluster.set_defaults(handler=cmd_cluster)
 

@@ -140,6 +140,69 @@ def journaled_results(path: str) -> dict[str, dict]:
     return results
 
 
+class LineTail:
+    """Byte-offset tailer over a JSONL file another process appends to.
+
+    :meth:`poll` resumes from the offset of the previous poll and
+    returns only the *complete* lines appended since.  It tolerates
+    every state a ``kill -9`` of the writer can leave:
+
+    * **torn final line** — buffered until its newline arrives (the
+      writer fsyncs whole lines, but a reader can race mid-append); it
+      is never returned as a line;
+    * **truncation/replacement** — a file that shrank below the offset
+      (torn-tail repair on reopen, a wholesale rewrite) or vanished is
+      re-read from byte 0, and the poll reports the reset so the caller
+      drops whatever it derived from the old contents.
+
+    Parsing, and what to do with a line that does not parse, stays with
+    the caller.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        #: Bytes consumed so far, including a buffered torn tail.
+        self.offset = 0
+        self._tail = b""
+        #: The last poll found no file.
+        self.missing = False
+
+    def poll(self) -> tuple[bool, list[tuple[int, bytes]]]:
+        """``(reset, lines)``: whether the reader started over, and each
+        new non-empty complete line (without its newline) paired with
+        the byte offset where it starts."""
+        reset = False
+        try:
+            with open(self.path, "rb") as handle:
+                size = handle.seek(0, os.SEEK_END)
+                if size < self.offset:
+                    self._restart()
+                    reset = True
+                self.missing = False
+                if size == self.offset:
+                    return reset, []
+                handle.seek(self.offset)
+                data = handle.read()
+        except FileNotFoundError:
+            self._restart()
+            self.missing = True
+            return True, []
+        position = self.offset - len(self._tail)
+        self.offset += len(data)
+        lines = (self._tail + data).split(b"\n")
+        self._tail = lines.pop()  # b"" when the data ended on a newline
+        complete = []
+        for line in lines:
+            if line:
+                complete.append((position, line))
+            position += len(line) + 1
+        return reset, complete
+
+    def _restart(self) -> None:
+        self.offset = 0
+        self._tail = b""
+
+
 class JournalIndex:
     """Incremental job-id -> ``result``-record lookup over a *growing*
     journal another process is appending to.
@@ -151,58 +214,27 @@ class JournalIndex:
     (and re-journaled) on another shard.
 
     Unlike :func:`journaled_results`, a lookup does not re-read the
-    whole file: :meth:`refresh` resumes from the byte offset of the
-    previous read and only parses appended data.  The reader must
-    tolerate every state a ``kill -9`` of the writer can leave:
-
-    * **torn final line** — buffered until its newline arrives (the
-      writer fsyncs whole lines, but a reader can race mid-append); it
-      is never parsed as a record;
-    * **corrupt complete line** — skipped, not fatal: for *dedupe* the
-      safe failure direction is a miss (recompute) rather than an
-      exception that wedges failover;
-    * **truncation/replacement** — a shard restart repairs torn tails
-      by truncating, shrinking the file; a shrink below our offset
-      resets the index and re-reads from the start.
+    whole file: :meth:`refresh` tails it with a :class:`LineTail`, which
+    buffers a torn final line until its newline arrives and starts over
+    when a shard restart's torn-tail repair shrinks the file.  A
+    corrupt complete line is skipped, not fatal: for *dedupe* the safe
+    failure direction is a miss (recompute) rather than an exception
+    that wedges failover.
     """
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self._offset = 0
-        self._tail = b""
+        self._lines = LineTail(path)
         self._results: dict[str, dict] = {}
         self._claims: dict[str, dict] = {}
 
     def refresh(self) -> None:
         """Absorb any bytes appended since the last refresh."""
-        try:
-            with open(self.path, "rb") as handle:
-                handle.seek(0, os.SEEK_END)
-                size = handle.tell()
-                if size < self._offset:
-                    # The file shrank (torn-tail repair on reopen, or a
-                    # wholesale replacement): start over.
-                    self._offset = 0
-                    self._tail = b""
-                    self._results = {}
-                    self._claims = {}
-                if size == self._offset:
-                    return
-                handle.seek(self._offset)
-                data = handle.read()
-        except FileNotFoundError:
-            self._offset = 0
-            self._tail = b""
+        reset, lines = self._lines.poll()
+        if reset:
             self._results = {}
             self._claims = {}
-            return
-        self._offset += len(data)
-        buffer = self._tail + data
-        lines = buffer.split(b"\n")
-        self._tail = lines.pop()  # b"" when the data ended on a newline
-        for line in lines:
-            if not line:
-                continue
+        for _offset, line in lines:
             try:
                 record = json.loads(line.decode("utf-8", errors="replace"))
             except ValueError:

@@ -47,18 +47,7 @@ from repro.core.processes import (
     replace_leaves,
 )
 from repro.core.substitution import freshen_bound, instantiate_locvar, subst
-from repro.core.terms import (
-    At,
-    Localized,
-    Name,
-    Pair,
-    SharedEnc,
-    Term,
-    localize,
-    origin,
-    payload,
-    values_equal,
-)
+from repro.core.terms import Name, Term, localize, payload
 from repro.runtime.faults import SUCCESSORS, fault_hook
 from repro.semantics import canonical
 from repro.semantics.actions import Comm, PendingAction, Transition

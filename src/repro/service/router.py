@@ -46,10 +46,7 @@ the process.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-import queue
 import random
 import selectors
 import socket
@@ -65,7 +62,6 @@ from repro.obs.trace import trace_event
 from repro.runtime.atomic import atomic_write_json
 from repro.runtime.journal import JournalIndex
 from repro.service import protocol
-from repro.service.breaker import CLOSED, BreakerBoard
 from repro.service.client import ServiceClient, ServiceUnavailable
 from repro.service.framing import FramingError, recv_frame, send_frame
 from repro.service.health import HealthMonitor
@@ -149,15 +145,6 @@ class RouterConfig:
     #: store hits on whichever shard the ring picks, across router
     #: restarts.
     verdict_store: Optional[str] = None
-    #: Fraction (0..1) of ``ok`` non-violated verdicts re-run on a
-    #: dedicated cross-check shard that computes with ``--reduce none
-    #: --no-state-cache`` (and no verdict store): an independent
-    #: derivation sharing none of the reduction/caching machinery with
-    #: the shard being audited.  A divergence is journaled to
-    #: ``DIR/crosscheck.jsonl`` and quarantines the protocol (its
-    #: cross-check breaker opens; requests answer DEGRADED until a
-    #: post-cooldown probe agrees again).  0 disables.
-    cross_check: float = 0.0
 
 
 @dataclass(eq=False)
@@ -240,26 +227,6 @@ class Router:
         self._started_at = time.monotonic()
         self._bound = False
         self.tcp_address: Optional[tuple[str, int]] = None
-        # Cross-validation (--cross-check): a sample of ok verdicts is
-        # recomputed on a dedicated shard with reduction and the state
-        # cache disabled; see _maybe_cross_check / _xcheck_loop.
-        self._xcheck: Optional[_Shard] = None
-        self._xcheck_queue: Optional[queue.Queue] = None
-        self._xcheck_thread: Optional[threading.Thread] = None
-        self._xcheck_board: Optional[BreakerBoard] = None
-        self._xcheck_stats = {"sampled": 0, "agreed": 0, "divergent": 0, "errors": 0}
-        if config.cross_check:
-            if not 0.0 < config.cross_check <= 1.0:
-                raise ClusterError(
-                    f"--cross-check must be in (0, 1], got {config.cross_check}"
-                )
-            self._xcheck = self._make_xcheck_shard()
-            self._xcheck_queue = queue.Queue()
-            # threshold=1: one divergence is already a wrong verdict
-            # somewhere — quarantine immediately, probe after cooldown.
-            self._xcheck_board = BreakerBoard(
-                threshold=1, cooldown=config.breaker_cooldown
-            )
 
     # -- construction --------------------------------------------------
 
@@ -297,49 +264,6 @@ class Router:
                 log_path=os.path.join(cfg.dir, f"{shard_id}.log"),
             ),
             journal=JournalIndex(journal),
-        )
-
-    def _make_xcheck_shard(self) -> _Shard:
-        """The cross-check shard: one supervised serve process kept
-        *outside* the ring, the health monitor, and the verdict store.
-
-        Outside the ring because it must never serve client traffic;
-        outside the store because a store hit would replay the very
-        answer under audit instead of recomputing it.  It runs with
-        ``--reduce none --no-state-cache``, so an agreement means two
-        disjoint implementations of the semantics derived the same
-        verdict.
-        """
-        cfg = self.config
-        shard_id = "xcheck"
-        sock = os.path.join(cfg.dir, f"{shard_id}.sock")
-        journal = os.path.join(cfg.dir, f"{shard_id}.jsonl")
-        spec = ShardSpec(
-            id=shard_id, address=("unix", sock), journal_path=journal,
-            local=True,
-        )
-        argv = local_shard_argv(
-            socket_path=sock,
-            journal_path=journal,
-            checkpoint_dir=os.path.join(cfg.dir, f"{shard_id}-checkpoints"),
-            workers=1,
-            queue_limit=cfg.queue_limit,
-            retries=cfg.retries,
-            job_deadline=cfg.job_deadline,
-            breaker_threshold=cfg.breaker_threshold,
-            breaker_cooldown=cfg.breaker_cooldown,
-            drain_grace=cfg.shard_drain_grace,
-            allow_fault_injection=cfg.allow_fault_injection,
-            python=cfg.python,
-            verdict_store=None,
-            extra_args=("--reduce", "none", "--no-state-cache"),
-        )
-        return _Shard(
-            spec=spec,
-            process=LocalShard(
-                spec=spec, argv=argv,
-                log_path=os.path.join(cfg.dir, f"{shard_id}.log"),
-            ),
         )
 
     def _make_remote_shard(self, shard_id: str, address: Any) -> _Shard:
@@ -398,10 +322,7 @@ class Router:
     def spawn_shards(self) -> None:
         """Start every local shard (idempotent)."""
         now = time.monotonic()
-        fleet = list(self._shards.values())
-        if self._xcheck is not None:
-            fleet.append(self._xcheck)
-        for shard in fleet:
+        for shard in self._shards.values():
             if shard.process is not None and not shard.process.alive():
                 shard.process.spawn()
                 shard.exit_handled = False
@@ -433,11 +354,6 @@ class Router:
         self.bind()
         self.spawn_shards()
         self._warm_journals()
-        if self._xcheck_queue is not None and self._xcheck_thread is None:
-            self._xcheck_thread = threading.Thread(
-                target=self._xcheck_loop, daemon=True, name="xcheck"
-            )
-            self._xcheck_thread.start()
         self.write_discovery()
         try:
             while True:
@@ -527,33 +443,6 @@ class Router:
 
     def _route(self, frame: dict, request: Request) -> dict:
         key = protocol.protocol_key(request.target)
-        # A protocol whose cross-check diverged is quarantined: the
-        # fleet has produced a provably wrong verdict for it somewhere,
-        # so serving more answers would be confidently wrong.  DEGRADED
-        # (retryable) rather than an error: after the cooldown one
-        # probe is let through and force-sampled; agreement closes the
-        # quarantine.
-        if self._xcheck_board is not None:
-            with self._lock:
-                breaker = self._xcheck_board.get(key)
-                allowed = breaker.allow()
-                # Free the probe slot immediately: not every routed
-                # request yields a sampleable verdict (faults, caches,
-                # violations), and a claimed-but-unresolvable probe
-                # would wedge the protocol half-open forever.  While
-                # the breaker is non-CLOSED every sampleable verdict is
-                # force-sampled (see _maybe_cross_check), so the probe
-                # still resolves through the first real answer.
-                breaker.abandon_probe()
-            if not allowed:
-                self.metrics.inc("crosscheck.quarantined")
-                trace_event("cluster.quarantined", job=request.id, protocol=key)
-                return protocol.response(
-                    request.id,
-                    protocol.DEGRADED,
-                    error=f"protocol {key} is quarantined: a cross-check "
-                    "divergence is under investigation",
-                )
         # Forward a normalized copy: the id is pinned to the parsed
         # (deterministic) id so the shard journals under the same key
         # the router dedupes on during failover.
@@ -603,7 +492,6 @@ class Router:
                 detail = f"{type(err).__name__}: {err}"
             else:
                 reply.setdefault("shard", shard.id)
-                self._maybe_cross_check(key, outbound, reply)
                 return reply
             finally:
                 with self._lock:
@@ -755,136 +643,12 @@ class Router:
                 return _cached_response(job_id, shard.id, record)
         return None
 
-    # -- cross-validation ----------------------------------------------
-
-    def _maybe_cross_check(self, key: str, outbound: dict, reply: dict) -> None:
-        """Decide whether this successful reply joins the cross-check
-        sample, and enqueue it for the shadow recomputation if so.
-
-        The sample is **deterministic** — a sha256 of ``key:id`` against
-        the configured rate — so a re-driven or retried request makes
-        the same decision every time and the sampled population is
-        reproducible from the journals alone.  Only fresh ``ok``
-        non-violated verdicts qualify: violations are already certified
-        individually by witness replay (``--certify``), and a cached
-        reply re-states an old computation rather than exercising the
-        shard under audit.  While a protocol's cross-check breaker is
-        non-CLOSED every qualifying verdict is sampled regardless of
-        rate: that is the probe that closes (or re-opens) a quarantine.
-        """
-        if self._xcheck_queue is None:
-            return
-        if reply.get("status") != "ok" or reply.get("cached"):
-            return
-        result = reply.get("result")
-        if not isinstance(result, dict) or result.get("violated"):
-            return
-        job_id = outbound.get("id")
-        digest = hashlib.sha256(f"{key}:{job_id}".encode("utf-8")).digest()
-        fraction = int.from_bytes(digest[:8], "big") / 2**64
-        with self._lock:
-            probing = self._xcheck_board.get(key).state != CLOSED
-        if fraction >= self.config.cross_check and not probing:
-            return
-        with self._lock:
-            self._xcheck_stats["sampled"] += 1
-        self.metrics.inc("crosscheck.sampled")
-        trace_event("cluster.crosscheck", job=job_id, protocol=key)
-        self._xcheck_queue.put((key, dict(outbound), dict(reply)))
-
-    @staticmethod
-    def _results_agree(primary: dict, shadow: dict) -> bool:
-        """Two verdicts agree when every verdict-bearing field they
-        share says the same thing.  Budget/stat fields deliberately
-        don't count: the shadow explores the *unreduced* space and its
-        state counts legitimately differ."""
-        for field_name in ("violated", "holds", "secure"):
-            if field_name in primary and field_name in shadow:
-                if bool(primary[field_name]) != bool(shadow[field_name]):
-                    return False
-        return True
-
-    def _journal_divergence(self, record: dict) -> None:
-        path = os.path.join(self.config.dir, "crosscheck.jsonl")
-        try:
-            with open(path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-        except OSError:
-            pass  # the quarantine (in-memory) is the load-bearing part
-
-    def _xcheck_loop(self) -> None:
-        """Daemon thread: drain the sample queue against the
-        cross-check shard and score each answer.
-
-        An unreachable shadow or a non-``ok`` shadow reply counts as an
-        *error*, never a divergence: absence of a second opinion is not
-        evidence that the first one was wrong.
-        """
-        assert self._xcheck is not None and self._xcheck_queue is not None
-        while True:
-            item = self._xcheck_queue.get()
-            if item is None:
-                return
-            key, frame, primary_reply = item
-            client = ServiceClient(
-                self._xcheck.spec.address,
-                timeout=self.config.forward_timeout,
-                retries=1,
-            )
-            try:
-                shadow_reply = client.call(dict(frame))
-            except (ServiceUnavailable, FramingError, OSError) as err:
-                shadow_reply = {"status": "unreachable", "error": str(err)}
-            if shadow_reply.get("status") != "ok":
-                with self._lock:
-                    self._xcheck_stats["errors"] += 1
-                self.metrics.inc("crosscheck.errors")
-                trace_event(
-                    "cluster.crosscheck_error",
-                    job=frame.get("id"),
-                    protocol=key,
-                    status=shadow_reply.get("status"),
-                )
-                continue
-            primary = primary_reply.get("result") or {}
-            shadow = shadow_reply.get("result") or {}
-            if self._results_agree(primary, shadow):
-                with self._lock:
-                    self._xcheck_stats["agreed"] += 1
-                    self._xcheck_board.get(key).record_success()
-                self.metrics.inc("crosscheck.agreed")
-                continue
-            detail = (
-                f"cross-check divergence on {key}: primary shard "
-                f"{primary_reply.get('shard')} vs unreduced recomputation"
-            )
-            with self._lock:
-                self._xcheck_stats["divergent"] += 1
-                self._xcheck_board.get(key).record_fault(detail)
-            self.metrics.inc("crosscheck.divergent")
-            trace_event(
-                "cluster.divergence", job=frame.get("id"), protocol=key
-            )
-            self._journal_divergence({
-                "type": "divergence",
-                "time": time.time(),
-                "job": frame.get("id"),
-                "protocol": key,
-                "primary_shard": primary_reply.get("shard"),
-                "primary": primary,
-                "crosscheck": shadow,
-            })
-
     # -- supervision ---------------------------------------------------
 
     def _supervise(self, now: float) -> None:
         """Notice dead local shards, eject them, respawn with backoff."""
         with self._lock:
             shards = list(self._shards.values())
-        if self._xcheck is not None:
-            shards.append(self._xcheck)
         for shard in shards:
             process = shard.process
             if process is None:
@@ -899,11 +663,7 @@ class Router:
                 trace_event(
                     "cluster.shard_exit", shard=shard.id, status=process.exit_code
                 )
-                # The cross-check shard is not a ring member, so it has
-                # no health standing to eject — it just respawns.
-                if shard is not self._xcheck and self.health.eject(
-                    shard.id, detail
-                ):
+                if self.health.eject(shard.id, detail):
                     self.metrics.inc("cluster.ejected")
                     self._rebuild_ring()
                 # Full jitter: when a machine-wide blip kills the whole
@@ -960,31 +720,7 @@ class Router:
                     "health": health_rows.get(shard.id),
                 }
             members = sorted(self._ring.members)
-            crosscheck = None
-            if self._xcheck_board is not None:
-                process = self._xcheck.process if self._xcheck else None
-                crosscheck = {
-                    "rate": self.config.cross_check,
-                    **self._xcheck_stats,
-                    "pending": (
-                        self._xcheck_queue.qsize() if self._xcheck_queue else 0
-                    ),
-                    "quarantined": sorted(
-                        key
-                        for key, snap in self._xcheck_board.snapshot().items()
-                        if snap["state"] != CLOSED
-                    ),
-                    "shard": {
-                        "pid": process.pid if process is not None else None,
-                        "alive": (
-                            process.alive() if process is not None else None
-                        ),
-                        "restarts": (
-                            process.restarts if process is not None else 0
-                        ),
-                    },
-                }
-        payload = {
+        return {
             "cluster": {
                 "pid": os.getpid(),
                 "draining": self.draining,
@@ -996,9 +732,6 @@ class Router:
             "ring": {"vnodes": self.config.vnodes, "members": members},
             "metrics": self.metrics.to_json(),
         }
-        if crosscheck is not None:
-            payload["crosscheck"] = crosscheck
-        return payload
 
     def write_discovery(self) -> None:
         """Publish ``cluster.json``: where the router listens and which
@@ -1046,16 +779,9 @@ class Router:
                 if not any(s.inflight for s in self._shards.values()):
                     break
             time.sleep(self.config.tick)
-        # The cross-check worker stops accepting new samples; whatever
-        # is still queued is abandoned (a drain is not the moment to
-        # start fresh recomputations).
-        if self._xcheck_queue is not None:
-            self._xcheck_queue.put(None)
         # Propagate: each shard runs its own graceful drain (finishes or
         # kills in-flight work, flushes its journal) and exits 0.
         fleet = list(self._shards.values())
-        if self._xcheck is not None:
-            fleet.append(self._xcheck)
         for shard in fleet:
             if shard.process is not None:
                 shard.process.terminate()
@@ -1098,12 +824,7 @@ class Router:
                 conn.close()
             except OSError:
                 pass
-        if self._xcheck_queue is not None:
-            self._xcheck_queue.put(None)
-        fleet = list(self._shards.values())
-        if self._xcheck is not None:
-            fleet.append(self._xcheck)
-        for shard in fleet:
+        for shard in self._shards.values():
             if shard.process is not None:
                 if shard.process.alive():
                     shard.process.kill()

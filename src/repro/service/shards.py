@@ -289,7 +289,6 @@ def local_shard_argv(
     python: str = sys.executable,
     dedupe: bool = True,
     verdict_store: Optional[str] = None,
-    extra_args: Sequence[str] = (),
 ) -> list[str]:
     """The ``repro-spi serve`` command line for one local shard.
 
@@ -330,11 +329,6 @@ def local_shard_argv(
         argv += ["--job-deadline", str(job_deadline)]
     if allow_fault_injection:
         argv.append("--allow-fault-injection")
-    # ``extra_args`` lets a special-purpose shard diverge from the
-    # fleet configuration — the cross-check shard runs with
-    # ``--reduce none --no-state-cache`` so its verdicts share no
-    # reduction or caching machinery with the shards it audits.
-    argv += list(extra_args)
     return argv
 
 

@@ -74,7 +74,7 @@ from typing import Mapping, NamedTuple, Optional
 
 from repro.core.errors import ReproError
 from repro.runtime.exhaustion import BUDGET_REASONS
-from repro.runtime.journal import Journal
+from repro.runtime.journal import Journal, LineTail
 from repro.runtime.worker import Job
 
 #: Store-record schema version (bumped on incompatible layout changes).
@@ -271,8 +271,9 @@ def _parse_record(line: bytes) -> Optional[dict]:
 
 
 class _SegmentTail:
-    """Incremental reader of one segment file (JournalIndex discipline:
-    buffer torn tails, skip corrupt lines, reset on shrink).
+    """Incremental reader of one segment file: a
+    :class:`~repro.runtime.journal.LineTail` whose lines are parsed as
+    store records, skipping damaged ones.
 
     The index maps each key to its record's byte span, so memory grows
     with the number of keys, not with verdict sizes; :meth:`read`
@@ -281,40 +282,20 @@ class _SegmentTail:
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self._offset = 0
-        self._tail = b""
+        self.lines = LineTail(path)
         #: key -> where its latest record in this segment lies.
         self.index: dict[str, _Entry] = {}
-        #: Dead segment: the file vanished (compaction/invalidation).
-        self.gone = False
 
     def refresh(self) -> None:
-        try:
-            with open(self.path, "rb") as handle:
-                handle.seek(0, os.SEEK_END)
-                size = handle.tell()
-                if size < self._offset:
-                    self._reset()
-                if size == self._offset:
-                    return
-                handle.seek(self._offset)
-                data = handle.read()
-        except FileNotFoundError:
-            self._reset()
-            self.gone = True
-            return
-        self.gone = False
-        position = self._offset - len(self._tail)
-        self._offset += len(data)
-        lines = (self._tail + data).split(b"\n")
-        self._tail = lines.pop()  # b"" when data ended on a newline
-        for line in lines:
-            record = _parse_record(line) if line else None
+        reset, lines = self.lines.poll()
+        if reset:
+            self.index = {}
+        for offset, line in lines:
+            record = _parse_record(line)
             if record is not None:
                 self.index[record["key"]] = _Entry(
-                    position, len(line), sys.intern(str(record.get("engine")))
+                    offset, len(line), sys.intern(str(record.get("engine")))
                 )
-            position += len(line) + 1
 
     def read(self, key: str, entry: _Entry) -> Optional[dict]:
         """The record at ``entry``, read from disk and checksum-verified
@@ -329,11 +310,6 @@ class _SegmentTail:
         if record is None or record["key"] != key:
             return None
         return record
-
-    def _reset(self) -> None:
-        self._offset = 0
-        self._tail = b""
-        self.index = {}
 
 
 class VerdictStore:
@@ -380,7 +356,7 @@ class VerdictStore:
                 self._tails[path] = _SegmentTail(path)
         for path, tail in list(self._tails.items()):
             tail.refresh()
-            if tail.gone and path not in live:
+            if tail.lines.missing and path not in live:
                 del self._tails[path]
 
     def lookup(self, key: Optional[str]) -> Optional[dict]:
@@ -565,7 +541,7 @@ class VerdictStore:
                 size = os.path.getsize(path)
             except OSError:
                 size = None  # already gone
-            if size is not None and (tail is None or size > tail._offset):
+            if size is not None and (tail is None or size > tail.lines.offset):
                 kept += 1  # grew since the final tail read: do not unlink
                 continue
             try:

@@ -52,7 +52,6 @@ from repro.service.protocol import protocol_key
 from repro.service.router import ClusterError, Router, RouterConfig
 from repro.service.shards import (
     HashRing,
-    ShardSpec,
     backoff_delay,
     local_shard_argv,
 )
@@ -711,164 +710,6 @@ class TestRouterUnits:
         router = _stub_router(tmp_path, ["/nonexistent/a.sock"])
         reply = router.handle_frame({"v": 1, "kind": "nonsense"})
         assert reply["status"] == "error"
-
-
-class TestCrossCheck:
-    """Unit coverage for ``--cross-check``: sampling determinism,
-    divergence scoring, journaling, and the quarantine breaker.  The
-    shadow shard itself is exercised by the integration test below."""
-
-    def _router(self, tmp_path, rate):
-        router = _stub_router(
-            tmp_path, ["/nonexistent/shard.sock"], cross_check=rate
-        )
-        os.makedirs(router.config.dir, exist_ok=True)
-        return router
-
-    def test_rate_validation(self, tmp_path):
-        for bad in (-0.1, 1.5):
-            with pytest.raises(ClusterError, match="cross-check"):
-                self._router(tmp_path, bad)
-
-    def test_sampling_is_deterministic_and_rate_bounded(self, tmp_path):
-        router = self._router(tmp_path, 0.5)
-        reply = {"status": "ok", "result": {"holds": True}, "shard": "s"}
-
-        def sampled_ids():
-            while not router._xcheck_queue.empty():
-                router._xcheck_queue.get()
-            for i in range(200):
-                router._maybe_cross_check(
-                    "zoo:yahalom", {"id": f"job-{i}"}, dict(reply)
-                )
-            ids = set()
-            while not router._xcheck_queue.empty():
-                ids.add(router._xcheck_queue.get()[1]["id"])
-            return ids
-
-        first = sampled_ids()
-        # Rate-bounded: roughly half of 200, never all or none.
-        assert 50 <= len(first) <= 150
-        # Deterministic: a re-driven population makes identical choices.
-        assert sampled_ids() == first
-
-    def test_only_fresh_ok_nonviolated_verdicts_qualify(self, tmp_path):
-        router = self._router(tmp_path, 1.0)
-        outbound = {"id": "secrecy:zoo:yahalom"}
-        for reply in (
-            {"status": "degraded", "error": "x"},
-            {"status": "ok", "result": {"holds": True}, "cached": True},
-            {"status": "ok", "result": {"violated": True, "witness": {}}},
-            {"status": "ok", "result": "not-a-dict"},
-        ):
-            router._maybe_cross_check("zoo:yahalom", outbound, reply)
-        assert router._xcheck_queue.empty()
-        router._maybe_cross_check(
-            "zoo:yahalom", outbound,
-            {"status": "ok", "result": {"holds": True}},
-        )
-        assert router._xcheck_queue.qsize() == 1
-        assert router._xcheck_stats["sampled"] == 1
-
-    def test_results_agree_compares_only_shared_verdict_fields(self):
-        agree = Router._results_agree
-        assert agree({"holds": True}, {"holds": True, "states": 999})
-        assert agree({"holds": True}, {"secure": False})  # nothing shared
-        assert not agree({"holds": True}, {"holds": False})
-        assert not agree(
-            {"violated": False, "holds": True},
-            {"violated": True, "holds": True},
-        )
-
-    def test_divergence_journals_trips_breaker_and_quarantines(
-        self, tmp_path
-    ):
-        router = self._router(tmp_path, 1.0)
-        key = "zoo:yahalom"
-        # Feed the scoring loop one divergent sample, then the shutdown
-        # sentinel; the shadow call is answered by a stub shard so the
-        # loop exercises its real client path.
-        with stub_shard([
-            {"status": "ok", "id": "secrecy:zoo:yahalom",
-             "result": {"holds": False}},
-        ]) as (path, served):
-            router._xcheck.spec = ShardSpec(id="xcheck", address=("unix", path))
-            router._xcheck_queue.put((
-                key,
-                {"id": "secrecy:zoo:yahalom", "v": 1, "kind": "secrecy",
-                 "target": {"zoo": "yahalom"}},
-                {"status": "ok", "shard": "shard-00",
-                 "result": {"holds": True}},
-            ))
-            router._xcheck_queue.put(None)
-            router._xcheck_loop()
-        assert len(served) == 1
-        assert router._xcheck_stats["divergent"] == 1
-        # One divergence is a wrong verdict somewhere: quarantined now.
-        assert not router._xcheck_board.get(key).allow()
-        status = router.status()["crosscheck"]
-        assert status["divergent"] == 1
-        assert status["quarantined"] == [key]
-        # The divergence record is durable and replayable from disk.
-        lines = [
-            json.loads(line)
-            for line in open(
-                os.path.join(router.config.dir, "crosscheck.jsonl"),
-                encoding="utf-8",
-            )
-        ]
-        assert lines[0]["type"] == "divergence"
-        assert lines[0]["protocol"] == key
-        assert lines[0]["primary"] == {"holds": True}
-        assert lines[0]["crosscheck"] == {"holds": False}
-        # And the router now degrades (retryably) instead of serving
-        # more confidently-wrong answers for this protocol.
-        reply = router.handle_frame(dict(SECRECY))
-        assert reply["status"] == "degraded"
-        assert "quarantined" in reply["error"]
-        assert router.metrics.counter("crosscheck.quarantined").value == 1
-
-    def test_agreement_closes_a_probing_quarantine(self, tmp_path):
-        router = self._router(tmp_path, 0.000001)
-        key = "zoo:yahalom"
-        with router._lock:
-            router._xcheck_board.get(key).record_fault("seeded divergence")
-        # While the breaker is non-CLOSED every qualifying verdict is
-        # force-sampled regardless of the (tiny) configured rate.
-        router._maybe_cross_check(
-            key, {"id": "probe-1"},
-            {"status": "ok", "result": {"holds": True}},
-        )
-        assert router._xcheck_queue.qsize() == 1
-        with stub_shard([
-            {"status": "ok", "id": "probe-1", "result": {"holds": True}},
-        ]) as (path, served):
-            router._xcheck.spec = ShardSpec(id="xcheck", address=("unix", path))
-            router._xcheck_queue.put(None)
-            router._xcheck_loop()
-        assert router._xcheck_stats["agreed"] == 1
-        # record_success closed the breaker: the quarantine lifts.
-        assert router._xcheck_board.get(key).allow()
-        assert router.status()["crosscheck"]["quarantined"] == []
-
-    def test_shadow_error_is_not_a_divergence(self, tmp_path):
-        router = self._router(tmp_path, 1.0)
-        key = "zoo:yahalom"
-        # The shadow endpoint does not exist: absence of a second
-        # opinion must score as an error, never trip the quarantine.
-        router._xcheck_queue.put((
-            key, {"id": "secrecy:zoo:yahalom"},
-            {"status": "ok", "shard": "shard-00",
-             "result": {"holds": True}},
-        ))
-        router._xcheck_queue.put(None)
-        router._xcheck_loop()
-        assert router._xcheck_stats["errors"] == 1
-        assert router._xcheck_stats["divergent"] == 0
-        assert router._xcheck_board.get(key).allow()
-        assert not os.path.exists(
-            os.path.join(router.config.dir, "crosscheck.jsonl")
-        )
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,8 @@
-"""Tests for attacker construction: canned suite and bounded enumeration."""
+"""Tests for attacker construction: the canned suite."""
 
 from __future__ import annotations
 
 from repro.analysis.intruder import (
-    AttackerBudget,
-    enumerate_attackers,
     eavesdropper,
     forwarder,
     impersonator,
@@ -16,7 +14,6 @@ from repro.analysis.intruder import (
 )
 from repro.core.processes import (
     Input,
-    Nil,
     Output,
     Replication,
     Restriction,
@@ -91,39 +88,3 @@ class TestCannedAttackers:
     def test_relay_pairs_for_multiple_channels(self):
         names = [name for name, _ in standard_attackers([c, d])]
         assert "relay(c->d)" in names and "relay(d->c)" in names
-
-
-class TestEnumeration:
-    def test_all_enumerated_are_closed_and_in_E_C(self):
-        for name, attacker in enumerate_attackers([c], AttackerBudget(2, 1, 1)):
-            assert free_variables(attacker) == frozenset(), name
-            assert channels_touched(attacker) <= {"c"}, name
-            # all invented names are restricted
-            assert all(n.base == "c" for n in free_names(attacker)), name
-
-    def test_enumeration_nonempty_and_bounded(self):
-        two = list(enumerate_attackers([c], AttackerBudget(2, 1, 1)))
-        three = list(enumerate_attackers([c], AttackerBudget(3, 1, 1)))
-        assert 0 < len(two) < len(three)
-
-    def test_enumeration_includes_a_replayer_shape(self):
-        # some attacker hears x then says x twice
-        found = False
-        for name, attacker in enumerate_attackers([c], AttackerBudget(3, 0, 0)):
-            if (
-                isinstance(attacker, Input)
-                and isinstance(attacker.continuation, Output)
-                and isinstance(attacker.continuation.continuation, Output)
-                and attacker.continuation.payload == attacker.binder
-                and attacker.continuation.continuation.payload == attacker.binder
-            ):
-                found = True
-        assert found
-
-    def test_zero_actions_yields_nothing(self):
-        assert list(enumerate_attackers([c], AttackerBudget(0, 1, 1))) == []
-
-    def test_labels_are_informative(self):
-        labels = [name for name, _ in enumerate_attackers([c], AttackerBudget(2, 0, 1))]
-        assert any("c?" in label for label in labels)
-        assert any("c!" in label for label in labels)

@@ -385,11 +385,16 @@ def _suite_records() -> dict:
 
 class TestWorkerSuiteParity:
     def test_workers_and_reduction_modes_agree(self, monkeypatch):
-        # Spawned workers read REPRO_REDUCTION at import time, so the
-        # matrix drives them through the env.
+        # Spawned workers read REPRO_REDUCTION and REPRO_NO_STATE_CACHE
+        # at import time, so the matrix drives them through the env.
+        monkeypatch.delenv(canonical.DISABLE_ENV, raising=False)
         monkeypatch.setenv(canonical.REDUCTION_ENV, "full")
         reduced = _suite_records()
         monkeypatch.setenv(canonical.REDUCTION_ENV, "none")
+        assert _suite_records() == reduced
+        # Unreduced and uncached: no symmetry merging, no interning, no
+        # successor cache between the verdict and the transition rules.
+        monkeypatch.setenv(canonical.DISABLE_ENV, "1")
         assert _suite_records() == reduced
 
 
