@@ -30,6 +30,9 @@ the id stable).  Substitution, ``normalize`` and ``replace_leaves``
 share the subtrees they do not touch by reference, so interning a
 transition's target re-walks only the rewritten spine — the walk stops
 at the first node the parent state already routed through the table.
+A caller that assembles nodes from interned children needs no walk at
+all: :meth:`InternTable.parallel` and :meth:`InternTable.restriction`
+return the canonical instance directly.
 
 The interned instances are the ordinary frozen dataclasses from
 :mod:`repro.core.terms` / :mod:`repro.core.processes` — interning adds
@@ -191,6 +194,31 @@ class InternTable:
 
     def _var(self, v: Var) -> Var:
         return self._node((Var, v.ident, v.uid), v)
+
+    # -- arena construction ---------------------------------------------
+
+    # Nodes built straight from interned children: the node object is
+    # only allocated when the table lacks it, and a new node gets its
+    # self-entry in the raw-object memo, so a later :meth:`process`
+    # stops at it without a walk.
+
+    def parallel(self, left: Process, right: Process) -> Parallel:
+        """The canonical ``left | right`` of two *interned* processes."""
+        key = (Parallel, id(left), id(right))
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = Parallel(left, right)
+            self._memo[id(node)] = (node, node)
+        return node
+
+    def restriction(self, name: Name, body: Process) -> Restriction:
+        """The canonical ``(nu name) body`` of an *interned* name and body."""
+        key = (Restriction, id(name), id(body))
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = Restriction(name, body)
+            self._memo[id(node)] = (node, node)
+        return node
 
     # -- processes ------------------------------------------------------
 

@@ -23,9 +23,9 @@ them incrementally:
    spine with C-level copies — only identity renumbering is ever
    re-done per state (it is global, so it cannot be cached);
 4. a bounded LRU **successor cache** keyed by ``(interned root,
-   private, roles, unfold-sharing mode)`` lets repeated expansions of the same state — the
-   attacker enumeration revisits systems under many knowledge sets,
-   and escalation re-explores from scratch — skip the transition
+   private, roles, unfold-sharing mode)`` lets repeated expansions of
+   the same state — escalation re-explores from scratch, resume and
+   repeated analyses revisit the same systems — skip the transition
    enumeration entirely.  Identity keying means a hit returns
    transitions whose uids match the querying state exactly.
 
@@ -46,7 +46,10 @@ Invalidation rules (see ``docs/performance.md``):
 
 Cache effectiveness is observable through ``canonical.hit`` /
 ``canonical.miss`` (and ``successor.hit`` / ``successor.miss``)
-counters, symmetry merging through ``reduction.sym_merge``, all
+counters, the successor path's leaf and redex memos through
+``successor.leaf_hit`` / ``successor.leaf_miss`` /
+``successor.redex_hit`` / ``successor.redex_miss``, symmetry merging
+through ``reduction.sym_merge``, all
 published to :mod:`repro.obs.metrics` by the exploration loops; see
 :func:`metrics_snapshot` / :func:`publish_cache_metrics`.
 """
@@ -150,6 +153,9 @@ _canonical_misses = 0
 _successor_hits = 0
 _successor_misses = 0
 _sym_reorders = 0
+#: Leaf hit, leaf miss, redex hit, redex miss of the memos in
+#: :mod:`repro.semantics.transitions` (see :func:`note_successor_memos`).
+_memo_counts = [0, 0, 0, 0]
 
 
 # ----------------------------------------------------------------------
@@ -262,6 +268,14 @@ def interned_size() -> int:
 def intern_process(root: Process) -> Process:
     """The canonical (hash-consed) instance of ``root``."""
     return _table.process(root)
+
+
+def arena() -> InternTable:
+    """The intern table itself, for building interned nodes straight
+    from interned children (:meth:`InternTable.parallel`,
+    :meth:`InternTable.restriction`).  Valid until the next
+    :func:`clear_caches`."""
+    return _table
 
 
 # ----------------------------------------------------------------------
@@ -889,19 +903,31 @@ def successor_put(handle: tuple, transitions: tuple) -> None:
 # ----------------------------------------------------------------------
 
 
-def metrics_snapshot() -> tuple[int, int, int, int, int]:
+def note_successor_memos(
+    leaf_hits: int, leaf_misses: int, redex_hits: int, redex_misses: int
+) -> None:
+    """Count one expansion's leaf and redex memo lookups."""
+    counts = _memo_counts
+    counts[0] += leaf_hits
+    counts[1] += leaf_misses
+    counts[2] += redex_hits
+    counts[3] += redex_misses
+
+
+def metrics_snapshot() -> tuple[int, ...]:
     """Monotonic counters ``(canonical hit/miss, successor hit/miss,
-    symmetry reorders)`` — snapshot before a run, diff after, publish
-    the delta."""
+    symmetry reorders, leaf memo hit/miss, redex memo hit/miss)`` —
+    snapshot before a run, diff after, publish the delta."""
     return (_canonical_hits, _canonical_misses, _successor_hits, _successor_misses,
-            _sym_reorders)
+            _sym_reorders, *_memo_counts)
 
 
 _METRIC_NAMES = ("canonical.hit", "canonical.miss", "successor.hit", "successor.miss",
-                 "reduction.sym_merge")
+                 "reduction.sym_merge", "successor.leaf_hit", "successor.leaf_miss",
+                 "successor.redex_hit", "successor.redex_miss")
 
 
-def publish_cache_metrics(metrics, before: tuple[int, int, int, int, int]) -> None:
+def publish_cache_metrics(metrics, before: tuple[int, ...]) -> None:
     """Publish counter deltas since ``before`` to a metrics registry."""
     after = metrics_snapshot()
     for name, b, a in zip(_METRIC_NAMES, before, after):

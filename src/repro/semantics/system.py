@@ -28,7 +28,7 @@ Use :func:`build_system` for that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from repro.core.addresses import Location, RelativeAddress, is_prefix
@@ -120,9 +120,10 @@ class System:
         return walk_leaves(self.root)
 
     def with_root(self, root: Process, new_private: frozenset[Name] = frozenset()) -> "System":
-        return replace(
-            self, root=root, private=self.private | new_private, _key_cache=None
-        )
+        # Keeping the private set itself when nothing is added keeps its
+        # cached hash (the successor cache keys on it).
+        private = self.private | new_private if new_private else self.private
+        return System(root, private, self.roles)
 
     # -- rendering ------------------------------------------------------
 

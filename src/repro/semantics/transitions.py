@@ -45,6 +45,7 @@ from repro.core.processes import (
     Restriction,
     Split,
     replace_leaves,
+    walk_leaves,
 )
 from repro.core.substitution import freshen_bound, instantiate_locvar, subst
 from repro.core.terms import Name, Term, localize, payload
@@ -305,89 +306,175 @@ def synchronize(out: PendingAction, inp: PendingAction, system: System) -> Optio
 # ----------------------------------------------------------------------
 # Batched successor generation
 # ----------------------------------------------------------------------
+#
+# With the cache on, a state's successors are computed incrementally.
+# A communication rewrites only the two leaves it synchronizes, so a
+# child state shares every other leaf with its parent, and every other
+# output/input pair with it too.  Two memos exploit that:
+#
+# * the **leaf memo** holds, per ``(interned leaf, location)``, the
+#   leaf's enabled prefixes split into outputs and inputs;
+# * the **redex memo** holds, per pair of those (identical) prefix
+#   objects, the outcome of :func:`_match_pair`: ``None`` for a pair
+#   that cannot synchronize, otherwise the action and both rewritten
+#   leaves, already wrapped, interned and normalized at their locations.
+#
+# Both depend on nothing but their key: commitments read only the leaf
+# and its location (unfolds come from the site memo), and a match reads
+# only its two prefixes.  Both pin their keys' objects and are dropped
+# with the intern table.  They are bypassed while unfolds are not
+# shared (cache off, or inside ``canonical.separate_unfolds()``), where
+# every expansion must freshen anew.
+#
+# Targets are assembled in the arena: the two rewritten leaves are
+# grafted into the interned root and each new spine node comes from the
+# intern table, so the target root is interned as built.  Normalization
+# acts leaf by leaf, so grafting normal leaves into a normal root gives
+# a normal root; only a root that is not yet normal gets a whole-tree
+# pass after the graft.
+
+#: ``(id(interned leaf), location) -> (leaf, outputs, inputs)``.
+_leaf_memo: dict[
+    tuple[int, Location],
+    tuple[Process, tuple[PendingAction, ...], tuple[PendingAction, ...]],
+] = {}
+
+#: ``(id(output), id(input)) -> (output, input, redex)`` where ``redex``
+#: is ``None`` or ``(action, sender leaf, receiver leaf)``.
+_redex_memo: dict[
+    tuple[int, int],
+    tuple[PendingAction, PendingAction, Optional[tuple[Comm, Process, Process]]],
+] = {}
+canonical.register_clear_hook(_leaf_memo.clear)
+canonical.register_clear_hook(_redex_memo.clear)
 
 
-def _rewrite_batch(root: Process, patches: list[dict]) -> list[Process]:
-    """Apply each two-leaf patch to ``root`` independently, in one walk.
+def _leaf_actions(
+    leaf: Process, loc: Location
+) -> tuple[tuple[PendingAction, ...], tuple[PendingAction, ...]]:
+    """The enabled prefixes of one leaf as ``(outputs, inputs)``."""
+    actions = list(commitments(leaf, loc, loc))
+    return (
+        tuple(a for a in actions if a.is_output),
+        tuple(a for a in actions if not a.is_output),
+    )
 
-    Each patch is a ``{leaf location: replacement}`` dict as accepted by
-    :func:`~repro.core.processes.replace_leaves`; the result list holds
-    one rebuilt root per patch.  Untouched subtrees are shared between
-    the input tree and every result, so the per-target cost is the two
-    rewritten spines rather than a full-tree copy per transition.
+
+def _redex(
+    out: PendingAction, inp: PendingAction, table
+) -> Optional[tuple[Comm, Process, Process]]:
+    """``(action, sender leaf, receiver leaf)`` for a pair that can
+    synchronize, else ``None``.  Both leaves are wrapped, interned and
+    normalized at their own locations."""
+    matched = _match_pair(out, inp)
+    if matched is None:
+        return None
+    value, sender, receiver = matched
+    action = Comm(
+        channel=out.channel_subject,
+        value=value,
+        sender=out.act_loc,
+        receiver=inp.act_loc,
+    )
+    return (
+        action,
+        _normalize_interned(table.process(out.wrap(sender)), table, out.leaf_loc),
+        _normalize_interned(table.process(inp.wrap(receiver)), table, inp.leaf_loc),
+    )
+
+
+def _graft(node: Process, depth: int, loc: Location, leaf: Process, table) -> Process:
+    """``node`` with the leaf at ``loc`` replaced by ``leaf``, in the arena.
+
+    ``node`` is interned and sits at ``loc[:depth]``; ``leaf`` is
+    interned.  Restrictions are transparent, as in
+    :func:`~repro.core.processes.replace_leaves`.  Subtrees off the path
+    are shared and each rebuilt node comes from ``table``, so the result
+    is interned as built.
     """
+    if node.__class__ is Restriction:
+        return table.restriction(node.name, _graft(node.body, depth, loc, leaf, table))
+    if depth == len(loc):
+        return leaf
+    if node.__class__ is not Parallel:
+        raise SemanticsError(f"replacement location {loc} not in tree")
+    if loc[depth]:
+        return table.parallel(node.left, _graft(node.right, depth + 1, loc, leaf, table))
+    return table.parallel(_graft(node.left, depth + 1, loc, leaf, table), node.right)
 
-    def go(node: Process, at: Location, idxs: list[int]) -> dict[int, Process]:
-        built: dict[int, Process] = {}
-        rest: list[int] = []
-        for i in idxs:
-            if at in patches[i]:
-                if len(patches[i]) == 1 or all(
-                    loc[: len(at)] != at or loc == at for loc in patches[i]
-                ):
-                    built[i] = patches[i][at]
-                else:
-                    raise SemanticsError(f"nested replacement locations at {at}")
-            else:
-                rest.append(i)
-        if not rest:
-            return built
-        if isinstance(node, Restriction):
-            for i, sub in go(node.body, at, rest).items():
-                built[i] = Restriction(node.name, sub)
-            return built
-        if not isinstance(node, Parallel):
-            raise SemanticsError(f"replacement location not in tree at {at}")
-        lp, rp = at + (0,), at + (1,)
-        lefts = [i for i in rest if any(loc[: len(lp)] == lp for loc in patches[i])]
-        rights = [i for i in rest if any(loc[: len(rp)] == rp for loc in patches[i])]
-        left_built = go(node.left, lp, lefts) if lefts else {}
-        right_built = go(node.right, rp, rights) if rights else {}
-        for i in rest:
-            built[i] = Parallel(
-                left_built.get(i, node.left), right_built.get(i, node.right)
-            )
-        return built
 
-    results = go(root, (), list(range(len(patches))))
-    return [results[i] for i in range(len(patches))]
+def _graft_pair(
+    node: Process,
+    depth: int,
+    a: Location,
+    leaf_a: Process,
+    b: Location,
+    leaf_b: Process,
+    table,
+) -> Process:
+    """:func:`_graft` of two leaves at once: the paths to ``a`` and
+    ``b`` are rebuilt together down to where they part."""
+    if node.__class__ is Restriction:
+        body = _graft_pair(node.body, depth, a, leaf_a, b, leaf_b, table)
+        return table.restriction(node.name, body)
+    if depth == len(a) or depth == len(b):
+        raise SemanticsError(f"nested replacement locations {a} and {b}")
+    if node.__class__ is not Parallel:
+        raise SemanticsError(f"replacement location {a} not in tree")
+    if a[depth] != b[depth]:
+        if a[depth]:
+            a, leaf_a, b, leaf_b = b, leaf_b, a, leaf_a
+        return table.parallel(
+            _graft(node.left, depth + 1, a, leaf_a, table),
+            _graft(node.right, depth + 1, b, leaf_b, table),
+        )
+    if a[depth]:
+        right = _graft_pair(node.right, depth + 1, a, leaf_a, b, leaf_b, table)
+        return table.parallel(node.left, right)
+    left = _graft_pair(node.left, depth + 1, a, leaf_a, b, leaf_b, table)
+    return table.parallel(left, node.right)
 
 
 #: ``normalize`` memo for the batched path, keyed by (identity of the
 #: interned node, absolute position).  Guard evaluation is position
 #: dependent (address matching resolves relative to the position), so
-#: the position is part of the key.  Entries reference nodes the intern
-#: table keeps alive; the memo is dropped with the rest of the
+#: the position is part of the key.  Every result is also recorded as
+#: its own normal form (``normalize`` is idempotent), so a state root
+#: the path built is known normal at once.  Entries reference nodes the
+#: intern table keeps alive; the memo is dropped with the rest of the
 #: canonical caches via the registered clear hook.
 _norm_memo: dict[tuple[int, Location], Process] = {}
 canonical.register_clear_hook(_norm_memo.clear)
 
 
-def _normalize_interned(node: Process, at: Location = ()) -> Process:
+def _normalize_interned(node: Process, table, at: Location = ()) -> Process:
     """:func:`normalize` over the interned arena, memoized.
 
     ``node`` must be interned (children of an interned node are
     interned, so the recursion stays inside the arena until it reaches
     a non-structural node, which falls through to plain ``normalize``).
-    A node whose children come back unchanged is returned as itself, so
-    the result stays interned wherever normalization did nothing.
+    The result is interned too: a node whose children come back
+    unchanged is returned as itself, and rebuilt nodes come from
+    ``table``.
     """
     key = (id(node), at)
     hit = _norm_memo.get(key)
     if hit is not None:
         return hit
-    if isinstance(node, Parallel):
-        left = _normalize_interned(node.left, at + (0,))
-        right = _normalize_interned(node.right, at + (1,))
+    if node.__class__ is Parallel:
+        left = _normalize_interned(node.left, table, at + (0,))
+        right = _normalize_interned(node.right, table, at + (1,))
         result: Process = (
-            node if left is node.left and right is node.right else Parallel(left, right)
+            node
+            if left is node.left and right is node.right
+            else table.parallel(left, right)
         )
-    elif isinstance(node, Restriction):
-        body = _normalize_interned(node.body, at)
-        result = node if body is node.body else Restriction(node.name, body)
+    elif node.__class__ is Restriction:
+        body = _normalize_interned(node.body, table, at)
+        result = node if body is node.body else table.restriction(node.name, body)
     else:
-        result = normalize(node, at)
-    _norm_memo[key] = result
+        result = table.process(normalize(node, at))
+    _norm_memo[key] = _norm_memo[id(result), at] = result
     return result
 
 
@@ -400,25 +487,81 @@ def batched_successors(system: System) -> tuple[Transition, ...]:
     call sequence whether or not the cache is enabled.
 
     The transitions are memoized per interned state (see
-    :mod:`repro.semantics.canonical`): re-expanding a state the
-    attacker enumeration or an escalated re-exploration has already
-    visited returns the recorded tuple — uids included, since the cache
-    keys on the identity of the hash-consed root.
+    :mod:`repro.semantics.canonical`): re-expanding a state an
+    escalated re-exploration, a resume or a repeated analysis has
+    already visited returns the recorded tuple — uids included, since
+    the cache keys on the identity of the hash-consed root.
 
-    With the cache enabled, target construction is batched: all patched
-    roots are rebuilt in one shared walk over the arena
-    (:func:`_rewrite_batch`) and normalized through a per-(node,
-    position) memo, so shared spine work is paid once per state instead
-    of once per transition.  With the cache disabled the legacy
-    per-pair path runs — the differential parity suites hold the two
-    byte-identical.
+    With the cache enabled, successors are computed incrementally
+    through the leaf and redex memos (see the section comment) and
+    each target is grafted and normalized inside the intern arena.
+    With the cache disabled the reference per-pair path runs — the
+    differential parity suites hold the two byte-identical.
     """
     fault_hook(SUCCESSORS)
     cache_handle = canonical.successor_key(system)
-    if cache_handle is not None:
-        cached = canonical.successor_get(cache_handle)
-        if cached is not None:
-            return cached
+    if cache_handle is None:
+        return _reference_successors(system)
+    cached = canonical.successor_get(cache_handle)
+    if cached is not None:
+        return cached
+    result = _arena_successors(system)
+    canonical.successor_put(cache_handle, result)
+    return result
+
+
+def _arena_successors(system: System) -> tuple[Transition, ...]:
+    """The cached path of :func:`batched_successors` (cache enabled)."""
+    table = canonical.arena()
+    root = table.process(system.root)
+    root_normal = _normalize_interned(root, table) is root
+    memoize = canonical.unfolds_shared()
+    # Bypassed, the memos are replaced by dicts that live for this call
+    # only: within one state no leaf location or prefix pair repeats,
+    # so every lookup misses and everything is computed afresh.
+    leaf_memo = _leaf_memo if memoize else {}
+    redex_memo = _redex_memo if memoize else {}
+    leaf_hits = leaf_misses = redex_hits = redex_misses = 0
+    outputs: list[PendingAction] = []
+    inputs: list[PendingAction] = []
+    for loc, leaf in walk_leaves(root):
+        entry = leaf_memo.get((id(leaf), loc))
+        if entry is None:
+            leaf_misses += 1
+            entry = leaf_memo[id(leaf), loc] = (leaf, *_leaf_actions(leaf, loc))
+        else:
+            leaf_hits += 1
+        outputs.extend(entry[1])
+        inputs.extend(entry[2])
+    transitions: list[Transition] = []
+    for out in outputs:
+        for inp in inputs:
+            hit = redex_memo.get((id(out), id(inp)))
+            if hit is None:
+                redex_misses += 1
+                redex = _redex(out, inp, table)
+                hit = redex_memo[id(out), id(inp)] = (out, inp, redex)
+            else:
+                redex_hits += 1
+            redex = hit[2]
+            if redex is None:
+                continue
+            action, sender, receiver = redex
+            new_root = _graft_pair(
+                root, 0, out.leaf_loc, sender, inp.leaf_loc, receiver, table
+            )
+            if not root_normal:
+                new_root = _normalize_interned(new_root, table)
+            target = system.with_root(new_root, out.new_private | inp.new_private)
+            transitions.append(Transition(action=action, target=target))
+    if memoize:
+        canonical.note_successor_memos(leaf_hits, leaf_misses, redex_hits, redex_misses)
+    return tuple(transitions)
+
+
+def _reference_successors(system: System) -> tuple[Transition, ...]:
+    """The uncached path of :func:`batched_successors`: every pair is
+    matched and every target rebuilt and normalized from scratch."""
     actions = pending_actions(system)
     outputs = [a for a in actions if a.is_output]
     inputs = [a for a in actions if not a.is_output]
@@ -429,41 +572,21 @@ def batched_successors(system: System) -> tuple[Transition, ...]:
             if matched is not None:
                 pairs.append((out, inp) + matched)
     transitions: list[Transition] = []
-    if cache_handle is not None and pairs:
-        patches = [
-            {out.leaf_loc: out.wrap(sender), inp.leaf_loc: inp.wrap(receiver)}
-            for out, inp, _value, sender, receiver in pairs
-        ]
-        roots = _rewrite_batch(system.root, patches)
-        for (out, inp, value, _s, _r), new_root in zip(pairs, roots):
-            normalized = _normalize_interned(canonical.intern_process(new_root))
-            target = system.with_root(normalized, out.new_private | inp.new_private)
-            action = Comm(
-                channel=out.channel_subject,
-                value=value,
-                sender=out.act_loc,
-                receiver=inp.act_loc,
-            )
-            transitions.append(Transition(action=action, target=target))
-    else:
-        for out, inp, value, sender, receiver in pairs:
-            new_root = replace_leaves(
-                system.root,
-                {out.leaf_loc: out.wrap(sender), inp.leaf_loc: inp.wrap(receiver)},
-            )
-            new_root = normalize(new_root)
-            target = system.with_root(new_root, out.new_private | inp.new_private)
-            action = Comm(
-                channel=out.channel_subject,
-                value=value,
-                sender=out.act_loc,
-                receiver=inp.act_loc,
-            )
-            transitions.append(Transition(action=action, target=target))
-    result = tuple(transitions)
-    if cache_handle is not None:
-        canonical.successor_put(cache_handle, result)
-    return result
+    for out, inp, value, sender, receiver in pairs:
+        new_root = replace_leaves(
+            system.root,
+            {out.leaf_loc: out.wrap(sender), inp.leaf_loc: inp.wrap(receiver)},
+        )
+        new_root = normalize(new_root)
+        target = system.with_root(new_root, out.new_private | inp.new_private)
+        action = Comm(
+            channel=out.channel_subject,
+            value=value,
+            sender=out.act_loc,
+            receiver=inp.act_loc,
+        )
+        transitions.append(Transition(action=action, target=target))
+    return tuple(transitions)
 
 
 def successors(system: System) -> list[Transition]:
