@@ -14,14 +14,18 @@ them incrementally:
    finished key.  A state whose tree was seen before — the dedup-hit
    case that dominates explorations — costs one intern walk and one
    dictionary lookup instead of a full render;
-3. on a miss, assembly runs one linear pass over the root's
-   **flattened token list**: string literals (adjacent ones pre-merged)
-   interleaved with ``(kind, ident, uid)`` identity triples, renumbered
-   globally in first-occurrence order exactly like ``canon_id``.
-   Token lists are memoized per interned subtree, so flattening a new
-   state splices the cached lists of everything below the rewritten
-   spine with C-level copies — only identity renumbering is ever
-   re-done per state (it is global, so it cannot be cached);
+3. on a miss, assembly joins the root's **flattened token list**:
+   string literals (adjacent ones pre-merged) interleaved with interned
+   identity tokens (one object per ``(kind, ident, uid)``) and interned
+   creator-location tokens (one per location tuple).  Identities are
+   numbered globally in first-occurrence order exactly like
+   ``canon_id``, from a parallel list of numbering events, and each
+   location renders as its text — or, under symmetry merging, rebased
+   onto its slot's new position.  Token lists are memoized per interned
+   subtree, so flattening a new state splices the cached lists of
+   everything below the rewritten spine with C-level copies — only
+   identity numbering is ever re-done per state (it is global, so it
+   cannot be cached);
 4. a bounded LRU **successor cache** keyed by ``(interned root,
    private, roles, unfold-sharing mode)`` lets repeated expansions of
    the same state — escalation re-explores from scratch, resume and
@@ -57,7 +61,6 @@ published to :mod:`repro.obs.metrics` by the exploration loops; see
 from __future__ import annotations
 
 import os
-import re
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
@@ -132,16 +135,9 @@ _symmetry: bool = os.environ.get(REDUCTION_ENV, "").strip().lower() != "none"
 _share_unfolds: bool = True
 
 _table = InternTable()
-_flats: dict[int, list] = {}  # id(interned node) -> flattened tokens
 _keys: dict[int, str] = {}  # id(interned root) -> canonical key
 _successors: "OrderedDict[tuple, tuple]" = OrderedDict()
-
-# Symmetry-canonicalization memos: all keyed by id of interned nodes,
-# so they live and die with the intern table (see clear_caches).
 _sym_keys: dict[tuple, str] = {}  # (id(root), roles) -> symmetric key
-_sym_safe_memo: dict[int, bool] = {}
-_spiny_memo: dict[int, bool] = {}
-_blind_memo: dict[tuple, str] = {}
 
 #: Hooks run by :func:`clear_caches` so sibling modules whose memos key
 #: on interned-node identity (e.g. the batched-normalize memo in
@@ -249,13 +245,10 @@ def clear_caches() -> None:
     Registered clear hooks run last.
     """
     _table.clear()
-    _flats.clear()
+    _cache.clear()
     _keys.clear()
     _successors.clear()
     _sym_keys.clear()
-    _sym_safe_memo.clear()
-    _spiny_memo.clear()
-    _blind_memo.clear()
     for hook in _clear_hooks:
         hook()
 
@@ -284,8 +277,11 @@ def arena() -> InternTable:
 #
 # A fragment is a flat tuple whose elements are
 #   * ``str``      — literal output,
-#   * 3-tuples     — ``(kind, ident, uid)`` identities, renumbered in
-#                    first-occurrence order at assembly (= ``canon_id``),
+#   * ``_Id``      — an interned identity (one object per ``(kind,
+#                    ident, uid)``), renumbered in first-occurrence order
+#                    at assembly (= ``canon_id``),
+#   * ``_Loc``     — an interned creator location (one object per
+#                    location tuple), rendered as its text or rebased,
 #   * ``_PreNumber`` — assign a number to an identity *now*, emit
 #                    nothing (mirrors ``canonical_process`` evaluating
 #                    binder ids before the surrounding f-string:
@@ -297,46 +293,90 @@ def arena() -> InternTable:
 # spine needs fragment construction, each node in O(arity).
 
 
+#: Rendered identity numbers per kind (``labels[i] == f"{kind}{i}"``),
+#: grown by :func:`_render` on demand.  A constant table, not a memo:
+#: no entry depends on a state.
+_LABELS: dict[str, list[str]] = {kind: [kind + "0"] for kind in "nvl"}
+
+
+class _Id:
+    __slots__ = ("labels",)
+
+    def __init__(self, kind: str) -> None:
+        self.labels = _LABELS[kind]
+
+
+class _Loc:
+    __slots__ = ("loc", "text")
+
+    def __init__(self, loc: tuple) -> None:
+        self.loc = loc
+        self.text = location_str(loc)
+
+
 class _PreNumber:
     __slots__ = ("key",)
 
-    def __init__(self, key: tuple) -> None:
+    def __init__(self, key: _Id) -> None:
         self.key = key
 
 
-def _name_part(base: str, uid: Optional[int]):
+class _Tables:
+    """Token interning plus every per-node memo of key assembly.
+
+    One instance (:data:`_cache`) lives with the intern table; with the
+    cache off each key gets a throwaway instance, so nothing is written
+    at module level.
+    """
+
+    __slots__ = ("ids", "locs", "flats", "plans", "blinds", "safe", "spiny")
+
+    def __init__(self) -> None:
+        for slot in self.__slots__:
+            setattr(self, slot, {})
+
+    def clear(self) -> None:
+        for slot in self.__slots__:
+            getattr(self, slot).clear()
+
+    def ident(self, kind: str, ident: str, uid) -> _Id:
+        key = (kind, ident, uid)
+        return self.ids.get(key) or self.ids.setdefault(key, _Id(kind))
+
+    def loc(self, loc: tuple) -> _Loc:
+        return self.locs.get(loc) or self.locs.setdefault(loc, _Loc(loc))
+
+
+_cache = _Tables()
+
+
+def _name_part(base: str, uid: Optional[int], tok: _Tables):
     # canon_id("n", base, None) keeps the spelling of a free name.
-    return base if uid is None else ("n", base, uid)
+    return base if uid is None else tok.ident("n", base, uid)
 
 
-def _frag_name(t: Name) -> tuple:
-    if t.uid is None:
-        rendered = t.base
-        if t.creator is not None:
-            rendered += location_str(t.creator)
-        return (rendered,)
-    if t.creator is None:
-        return (("n", t.base, t.uid),)
-    return (("n", t.base, t.uid), location_str(t.creator))
+def _frag_name(t: Name, tok: _Tables) -> tuple:
+    head = _name_part(t.base, t.uid, tok)
+    return (head,) if t.creator is None else (head, tok.loc(t.creator))
 
 
-def _frag_var(t: Var) -> tuple:
-    return (("v", t.ident, t.uid),)
+def _frag_var(t: Var, tok: _Tables) -> tuple:
+    return (tok.ident("v", t.ident, t.uid),)
 
 
-def _frag_pair(t: Pair) -> tuple:
+def _frag_pair(t: Pair, tok: _Tables) -> tuple:
     return ("(", t.first, ", ", t.second, ")")
 
 
-def _frag_zero(t: Zero) -> tuple:
+def _frag_zero(t: Zero, tok: _Tables) -> tuple:
     return ("zero",)
 
 
-def _frag_succ(t: Succ) -> tuple:
+def _frag_succ(t: Succ, tok: _Tables) -> tuple:
     return ("suc(", t.term, ")")
 
 
-def _frag_enc(t: SharedEnc) -> tuple:
+def _frag_enc(t: SharedEnc, tok: _Tables) -> tuple:
     parts: list = ["{"]
     for i, part in enumerate(t.body):
         if i:
@@ -347,75 +387,75 @@ def _frag_enc(t: SharedEnc) -> tuple:
     return tuple(parts)
 
 
-def _frag_localized(t: Localized) -> tuple:
-    return (location_str(t.creator), t.term)
+def _frag_localized(t: Localized, tok: _Tables) -> tuple:
+    return (tok.loc(t.creator), t.term)
 
 
-def _frag_at(t: At) -> tuple:
+def _frag_at(t: At, tok: _Tables) -> tuple:
     literal = f"[{t.address.render()}]"
     return (literal,) if t.term is None else (literal, t.term)
 
 
-def _frag_channel(ch: Channel) -> tuple:
+def _frag_channel(ch: Channel, tok: _Tables) -> tuple:
     index = ch.index
     if index is None:
         return (ch.subject,)
     if isinstance(index, RelativeAddress):
         return (ch.subject, "@" + index.render())
     if isinstance(index, LocVar):
-        return (ch.subject, "@", ("l", index.ident, index.uid))
-    return (ch.subject, "@" + location_str(index))
+        return (ch.subject, "@", tok.ident("l", index.ident, index.uid))
+    return (ch.subject, "@", tok.loc(index))
 
 
-def _frag_nil(p: Nil) -> tuple:
+def _frag_nil(p: Nil, tok: _Tables) -> tuple:
     return ("0",)
 
 
-def _frag_output(p: Output) -> tuple:
+def _frag_output(p: Output, tok: _Tables) -> tuple:
     return (p.channel, "<", p.payload, ">.", p.continuation)
 
 
-def _frag_input(p: Input) -> tuple:
-    binder = ("v", p.binder.ident, p.binder.uid)
+def _frag_input(p: Input, tok: _Tables) -> tuple:
+    binder = tok.ident("v", p.binder.ident, p.binder.uid)
     return (_PreNumber(binder), p.channel, "(", binder, ").", p.continuation)
 
 
-def _frag_restriction(p: Restriction) -> tuple:
+def _frag_restriction(p: Restriction, tok: _Tables) -> tuple:
     # canonical_process renders the binder via canon_id directly: the
     # creator never appears here (contrast with Name occurrences).
-    return ("(nu ", _name_part(p.name.base, p.name.uid), ")(", p.body, ")")
+    return ("(nu ", _name_part(p.name.base, p.name.uid, tok), ")(", p.body, ")")
 
 
-def _frag_parallel(p: Parallel) -> tuple:
+def _frag_parallel(p: Parallel, tok: _Tables) -> tuple:
     return ("(", p.left, " | ", p.right, ")")
 
 
-def _frag_match(p: Match) -> tuple:
+def _frag_match(p: Match, tok: _Tables) -> tuple:
     return ("[", p.left, " = ", p.right, "] ", p.continuation)
 
 
-def _frag_addrmatch(p: AddrMatch) -> tuple:
+def _frag_addrmatch(p: AddrMatch, tok: _Tables) -> tuple:
     return ("[", p.left, " =~ ", p.right, "] ", p.continuation)
 
 
-def _frag_replication(p: Replication) -> tuple:
+def _frag_replication(p: Replication, tok: _Tables) -> tuple:
     return ("!(", p.body, ")")
 
 
-def _frag_case(p: Case) -> tuple:
-    triples = [("v", b.ident, b.uid) for b in p.binders]
-    parts: list = [_PreNumber(t) for t in triples]
+def _frag_case(p: Case, tok: _Tables) -> tuple:
+    binders = [tok.ident("v", b.ident, b.uid) for b in p.binders]
+    parts: list = [_PreNumber(b) for b in binders]
     parts += ["case ", p.scrutinee, " of {"]
-    for i, triple in enumerate(triples):
+    for i, binder in enumerate(binders):
         if i:
             parts.append(", ")
-        parts.append(triple)
+        parts.append(binder)
     parts += ["}", p.key, " in ", p.continuation]
     return tuple(parts)
 
 
-def _frag_intcase(p: IntCase) -> tuple:
-    binder = ("v", p.binder.ident, p.binder.uid)
+def _frag_intcase(p: IntCase, tok: _Tables) -> tuple:
+    binder = tok.ident("v", p.binder.ident, p.binder.uid)
     return (
         _PreNumber(binder),
         "case ",
@@ -429,9 +469,9 @@ def _frag_intcase(p: IntCase) -> tuple:
     )
 
 
-def _frag_split(p: Split) -> tuple:
-    first = ("v", p.first.ident, p.first.uid)
-    second = ("v", p.second.ident, p.second.uid)
+def _frag_split(p: Split, tok: _Tables) -> tuple:
+    first = tok.ident("v", p.first.ident, p.first.uid)
+    second = tok.ident("v", p.second.ident, p.second.uid)
     return ("let (", first, ", ", second, ") = ", p.scrutinee, " in ", p.continuation)
 
 
@@ -459,99 +499,78 @@ _FRAGMENT_BUILDERS: dict[type, object] = {
 }
 
 
-def _flatten(node) -> list:
-    """The flattened token list of an interned subtree (memoized).
+def _flatten(node, tok: _Tables) -> tuple[list, list]:
+    """The flattened token list of a subtree and its numbering events
+    (memoized per node in ``tok``).
 
     Tokens are ``str`` literals (adjacent literals merged at build
-    time), identity triples and ``_PreNumber`` markers, in the pretty
-    printer's left-to-right output order.  Child references in the
-    one-level recipes are expanded recursively, so flattening a
-    transition target splices the cached lists of every shared subtree
-    with C-level copies — only the rewritten spine builds new lists.
+    time), identities and locations, in the pretty printer's
+    left-to-right output order.  Events are the identities and
+    locations in the same order, with each ``_PreNumber`` binder in its
+    position.  Child references in the one-level recipes are expanded
+    recursively, so flattening a transition target splices the cached
+    lists of every shared subtree with C-level copies — only the
+    rewritten spine builds new lists.
     """
-    flat = _flats.get(id(node))
+    flat = tok.flats.get(id(node))
     if flat is not None:
         return flat
     out: list = []
-    for part in _FRAGMENT_BUILDERS[node.__class__](node):
+    events: list = []
+    for part in _FRAGMENT_BUILDERS[node.__class__](node, tok):
         cls = part.__class__
         if cls is str:
             if out and out[-1].__class__ is str:
                 out[-1] += part
             else:
                 out.append(part)
-        elif cls is tuple or cls is _PreNumber:
+        elif cls is _Id or cls is _Loc:
             out.append(part)
+            events.append(part)
+        elif cls is _PreNumber:
+            events.append(part.key)
         else:
-            child = _flatten(part)
+            child, child_events = _flatten(part, tok)
             if child and out and out[-1].__class__ is str and child[0].__class__ is str:
                 out[-1] += child[0]
                 out.extend(child[1:])
             else:
                 out.extend(child)
-    _flats[id(node)] = out
-    return out
+            events += child_events
+    flat = tok.flats[id(node)] = (out, events)
+    return flat
 
 
-def _flatten_raw(node) -> list:
-    """Non-memoized :func:`_flatten` for uninterned trees.
+def _render(out: list, events: list, moves: Optional[dict] = None) -> str:
+    """Render a token list in one pass.
 
-    Used by the disabled-cache symmetry path, which must produce the
-    same token stream without touching the (cleared) arena memos.
+    Identities are numbered in first-occurrence order of ``events``,
+    with one shared counter across kinds — byte-identical to
+    ``canon_id``.  A location renders as its text unless ``moves`` maps
+    one of its prefixes (longest first) to ``(cut, head)``: then
+    ``head`` replaces the first ``cut`` characters, the prefix's text.
     """
-    out: list = []
-    for part in _FRAGMENT_BUILDERS[node.__class__](node):
-        cls = part.__class__
-        if cls is str:
-            if out and out[-1].__class__ is str:
-                out[-1] += part
-            else:
-                out.append(part)
-        elif cls is tuple or cls is _PreNumber:
-            out.append(part)
+    table: dict = {}
+    number = 0
+    lengths = sorted({len(old) for old in moves}, reverse=True) if moves else ()
+    distinct = dict.fromkeys(events)
+    if len(distinct) >= len(_LABELS["n"]):
+        for kind, labels in _LABELS.items():
+            labels.extend(f"{kind}{i}" for i in range(len(labels), 2 * len(distinct)))
+    for event in distinct:
+        if event.__class__ is _Loc:
+            loc = event.loc
+            text = event.text
+            for n in lengths:
+                move = moves.get(loc[:n])
+                if move is not None:
+                    text = move[1] + text[move[0]:]
+                    break
+            table[event] = text
         else:
-            child = _flatten_raw(part)
-            if child and out and out[-1].__class__ is str and child[0].__class__ is str:
-                out[-1] += child[0]
-                out.extend(child[1:])
-            else:
-                out.extend(child)
-    return out
-
-
-def _tokens(node, caching: bool) -> list:
-    return _flatten(node) if caching else _flatten_raw(node)
-
-
-def _render(tokens) -> str:
-    """Render a token stream (one linear pass).
-
-    Identity triples are numbered in first-occurrence order with one
-    shared counter across kinds — byte-identical to ``canon_id``.
-    """
-    # Values are the *rendered* ids ("v3", "n7"): repeat occurrences —
-    # the bulk of the tokens — cost one dict hit, no formatting.
-    renumber: dict[tuple, str] = {}
-    out: list[str] = []
-    for item in tokens:
-        cls = item.__class__
-        if cls is str:
-            out.append(item)
-        elif cls is tuple:
-            rendered = renumber.get(item)
-            if rendered is None:
-                rendered = renumber[item] = f"{item[0]}{len(renumber) + 1}"
-            out.append(rendered)
-        else:  # _PreNumber
-            key = item.key
-            if key not in renumber:
-                renumber[key] = f"{key[0]}{len(renumber) + 1}"
-    return "".join(out)
-
-
-def _assemble(root) -> str:
-    """Render an interned tree from its token list."""
-    return _render(_flatten(root))
+            number += 1
+            table[event] = event.labels[number]
+    return "".join(map(table.get, out, out))
 
 
 # ----------------------------------------------------------------------
@@ -566,21 +585,12 @@ def _assemble(root) -> str:
 # engine emits, *provided* nothing in the tree resolves addresses
 # relative to tree positions and no role boundary runs through the
 # spine.  The symmetric key renders the state with each eligible
-# spine's slots sorted into a canonical order, rewriting the absolute
-# creator locations baked into names so the rendered string is exactly
-# the plain key of the permuted state.  Key equality therefore implies
-# the states are related by a within-spine permutation with consistent
-# creator renaming — a sound merge.  (Completeness is heuristic: a
-# missed merge costs states, never verdicts.)
-
-#: Matches every rendered absolute location, e.g. ``<||0||1||0>``.
-#: Unambiguous in canonical output: uids render as ``n12``/``v3`` and
-#: no other literal contains ``<||``.
-_LOC_RE = re.compile(r"<(?:\|\|[01])+>")
-
-
-def _parse_loc(rendered: str) -> tuple:
-    return tuple(int(tag) for tag in rendered[1:-1].split("||")[1:])
+# spine's slots sorted into a canonical order, rebasing the absolute
+# creator-location tokens so the rendered string is exactly the plain
+# key of the permuted state.  Key equality therefore implies the states
+# are related by a within-spine permutation with consistent creator
+# renaming — a sound merge.  (Completeness is heuristic: a missed merge
+# costs states, never verdicts.)
 
 
 #: Child fields per node class for the position-safety scan.  Classes
@@ -612,14 +622,16 @@ def _sym_safe(node, memo: Optional[dict]) -> bool:
     channels all resolve relative to absolute tree positions, so
     permuting siblings is only meaning-preserving in their absence.
     Plain creator locations (on names and localized values) are fine:
-    the renderer rewrites them consistently with the permutation.
+    the renderer rebases them consistently with the permutation.
     """
     if memo is not None:
         hit = memo.get(id(node))
         if hit is not None:
             return hit
     cls = node.__class__
-    if cls is At or cls is AddrMatch:
+    if cls is Parallel:
+        ok = _sym_safe(node.left, memo) and _sym_safe(node.right, memo)
+    elif cls is At or cls is AddrMatch:
         ok = False
     elif cls is Channel:
         ok = node.index is None and _sym_safe(node.subject, memo)
@@ -649,19 +661,19 @@ def _chain(node) -> Optional[tuple[list, object]]:
     return None
 
 
-def _spiny(node, memo: Optional[dict]) -> bool:
-    """Does the subtree contain any candidate spine (through parallels)?"""
+def _spiny(node, memo: Optional[dict]):
+    """Does the subtree contain any candidate spine (through parallels)?
+
+    Truthy if so: the spine's ``(slots, template)`` when it starts at
+    ``node`` itself, else ``True``.
+    """
     if node.__class__ is not Parallel:
         return False
     if memo is not None:
         hit = memo.get(id(node))
         if hit is not None:
             return hit
-    result = (
-        _chain(node) is not None
-        or _spiny(node.left, memo)
-        or _spiny(node.right, memo)
-    )
+    result = _chain(node) or bool(_spiny(node.left, memo) or _spiny(node.right, memo))
     if memo is not None:
         memo[id(node)] = result
     return result
@@ -679,123 +691,120 @@ def _role_gate(head: tuple, roles: tuple) -> bool:
     return all(not (loc[:n] == head and loc != head) for loc, _label in roles)
 
 
-def _blind(node, slot_pos: tuple, caching: bool) -> str:
+def _blind(node, slot_pos: tuple, tok) -> str:
     """The location-blind sort key of one spine slot.
 
     The slot is rendered with locally renumbered identities; locations
     under the slot's own position are re-based onto a placeholder so
     structurally identical copies at different slots compare equal.
     Foreign locations (names received from elsewhere) stay verbatim.
+    A falsy ``tok`` renders through throwaway tables (the uncached
+    path).
     """
+    tok = tok or _Tables()
     key = (id(node), slot_pos)
-    if caching:
-        hit = _blind_memo.get(key)
-        if hit is not None:
-            return hit
-    n = len(slot_pos)
-
-    def debase(match: "re.Match[str]") -> str:
-        loc = _parse_loc(match.group(0))
-        if loc[:n] == slot_pos:
-            return "<*" + "".join(f"||{t}" for t in loc[n:]) + ">"
-        return match.group(0)
-
-    rendered = _LOC_RE.sub(debase, _render(_tokens(node, caching)))
-    if caching:
-        _blind_memo[key] = rendered
+    rendered = tok.blinds.get(key)
+    if rendered is None:
+        cut = len(location_str(slot_pos)) - 1
+        rendered = tok.blinds[key] = _render(*_flatten(node, tok), {slot_pos: (cut, "<*")})
     return rendered
 
 
-def _sym_emit(
-    node,
-    old_pos: tuple,
-    new_pos: tuple,
-    roles: tuple,
-    moves: dict,
-    out: list,
-    caching: bool,
-) -> None:
-    """Emit the symmetry-reordered token stream of ``node``.
+def _plan(node, chain: tuple, pos: tuple, roles: tuple, tok: _Tables) -> tuple:
+    """How the spine ``chain`` at ``node`` (at ``pos``) is emitted,
+    memoized per node, position and roles — or ``()`` when a role
+    boundary runs through it.
+
+    A plan is ``(slots, rest, template, close, reordered)``: ``slots``
+    lists ``(old, new, slot, flat)`` in canonical order, where ``old``
+    and ``new`` are the slot's position below the head before and after
+    sorting (the same object when it stays) and ``flat`` its token and
+    event lists (``None`` when it holds a spine of its own); ``rest`` is
+    the template's position below the head and ``template`` its lists.
+    """
+    key = (id(node), pos, roles)
+    plan = tok.plans.get(key)
+    if plan is None:
+        plan = ()
+        if _role_gate(pos, roles):
+            slots, template = chain
+            k = len(slots)
+            below = [(1,) * i + (0,) for i in range(k)]
+            blinds = [_blind(slot, pos + at, tok) for slot, at in zip(slots, below)]
+            order = sorted(range(k), key=blinds.__getitem__)
+            plan = (
+                [
+                    (below[i], below[j], slots[i],
+                     None if _spiny(slots[i], tok.spiny) else _flatten(slots[i], tok))
+                    for j, i in enumerate(order)
+                ],
+                (1,) * k,
+                _flatten(template, tok),
+                ")" * k,
+                order != list(range(k)),
+            )
+        tok.plans[key] = plan
+    return plan
+
+
+def _sym_emit(node, old_pos: tuple, new_pos: tuple, roles: tuple, moves: dict,
+              out: list, events: list, tok: _Tables) -> None:
+    """Emit the symmetry-reordered tokens and events of ``node``.
 
     ``old_pos`` is the node's position in the original tree (where the
     creator locations baked into its names point), ``new_pos`` its
     position in the reordered rendering; every divergence is recorded
     in ``moves`` (old absolute prefix -> new absolute prefix) for the
-    final location rewrite.
+    final location rebase.
     """
     global _sym_reorders
-    if node.__class__ is Parallel:
-        chain = _chain(node)
-        if chain is not None and _role_gate(old_pos, roles):
-            slots, template = chain
-            k = len(slots)
-            old_slots = [old_pos + (1,) * i + (0,) for i in range(k)]
-            new_slots = [new_pos + (1,) * i + (0,) for i in range(k)]
-            order = sorted(
-                range(k), key=lambda i: _blind(slots[i], old_slots[i], caching)
-            )
-            if order != list(range(k)):
-                _sym_reorders += 1
-            for j, i in enumerate(order):
-                out.append("(")
-                if old_slots[i] != new_slots[j]:
-                    moves[old_slots[i]] = new_slots[j]
-                _sym_emit(
-                    slots[i], old_slots[i], new_slots[j], roles, moves, out, caching
-                )
-                out.append(" | ")
-            if old_pos != new_pos:
-                moves[old_pos + (1,) * k] = new_pos + (1,) * k
-            out.extend(_tokens(template, caching))
-            out.append(")" * k)
-            return
-        if _spiny(node, _spiny_memo if caching else None):
+    spine = _spiny(node, tok.spiny)
+    plan = spine.__class__ is tuple and _plan(node, spine, old_pos, roles, tok)
+    if plan:
+        slots, rest, template, close, reordered = plan
+        if reordered:
+            _sym_reorders += 1
+        moved = old_pos != new_pos
+        for old, new, slot, flat in slots:
+            if moved or old is not new:
+                moves[old_pos + old] = new_pos + new
             out.append("(")
-            _sym_emit(
-                node.left, old_pos + (0,), new_pos + (0,), roles, moves, out, caching
-            )
+            if flat is None:
+                _sym_emit(slot, old_pos + old, new_pos + new, roles, moves, out, events, tok)
+            else:
+                out += flat[0]
+                events += flat[1]
             out.append(" | ")
-            _sym_emit(
-                node.right, old_pos + (1,), new_pos + (1,), roles, moves, out, caching
-            )
-            out.append(")")
-            return
-    out.extend(_tokens(node, caching))
+        if moved:
+            moves[old_pos + rest] = new_pos + rest
+        out += template[0]
+        events += template[1]
+        out.append(close)
+        return
+    if spine:
+        out.append("(")
+        _sym_emit(node.left, old_pos + (0,), new_pos + (0,), roles, moves, out, events, tok)
+        out.append(" | ")
+        _sym_emit(node.right, old_pos + (1,), new_pos + (1,), roles, moves, out, events, tok)
+        out.append(")")
+        return
+    flat, flat_events = _flatten(node, tok)
+    out += flat
+    events += flat_events
 
 
-def _sym_key(node, roles: tuple, caching: bool) -> str:
-    """The symmetry-canonical key of a tree (see section comment)."""
-    if not _sym_safe(node, _sym_safe_memo if caching else None) or not _spiny(
-        node, _spiny_memo if caching else None
-    ):
-        return _render(_tokens(node, caching))
+def _sym_key(node, roles: tuple, tok: _Tables) -> Optional[str]:
+    """The symmetry-canonical key of a tree (see section comment), or
+    ``None`` when no spine can be sorted: then it is the plain key."""
+    if not _sym_safe(node, tok.safe) or not _spiny(node, tok.spiny):
+        return None
     moves: dict = {}
     out: list = []
-    _sym_emit(node, (), (), roles, moves, out, caching)
-    rendered = _render(out)
-    if not moves:
-        return rendered
-    # Longest-prefix-first lookup, done with one exact dict probe per
-    # distinct move length (spine slots share only a few lengths) and a
-    # per-call memo so each distinct location string is resolved once.
-    lengths = sorted({len(old) for old in moves}, reverse=True)
-    resolved: dict[str, str] = {}
-
-    def rebase(match: "re.Match[str]") -> str:
-        text = match.group(0)
-        hit = resolved.get(text)
-        if hit is None:
-            loc = _parse_loc(text)
-            hit = text
-            for n in lengths:
-                new = moves.get(loc[:n])
-                if new is not None:
-                    hit = location_str(new + loc[n:])
-                    break
-            resolved[text] = hit
-        return hit
-
-    return _LOC_RE.sub(rebase, rendered)
+    events: list = []
+    _sym_emit(node, (), (), roles, moves, out, events, tok)
+    return _render(out, events, {
+        old: (len(location_str(old)) - 1, location_str(new)[:-1]) for old, new in moves.items()
+    })
 
 
 def sym_reorder_count() -> int:
@@ -822,9 +831,8 @@ def state_key(root: Process, roles: tuple = ()) -> str:
     """
     global _canonical_hits, _canonical_misses
     if not _enabled:
-        if _symmetry and roles:
-            return _sym_key(root, roles, caching=False)
-        return canonical_process(root)
+        key = _sym_key(root, roles, _Tables()) if _symmetry and roles else None
+        return canonical_process(root) if key is None else key
     node = _table.process(root)
     if _symmetry and roles:
         memo_key = (id(node), roles)
@@ -833,7 +841,9 @@ def state_key(root: Process, roles: tuple = ()) -> str:
             _canonical_hits += 1
             return key
         _canonical_misses += 1
-        key = _sym_keys[memo_key] = _sym_key(node, roles, caching=True)
+        key = _sym_keys[memo_key] = (
+            _sym_key(node, roles, _cache) or _render(*_flatten(node, _cache))
+        )
         if len(_table) > MAX_INTERNED_NODES:
             clear_caches()
         return key
@@ -842,7 +852,7 @@ def state_key(root: Process, roles: tuple = ()) -> str:
         _canonical_hits += 1
         return key
     _canonical_misses += 1
-    key = _keys[id(node)] = _assemble(node)
+    key = _keys[id(node)] = _render(*_flatten(node, _cache))
     if len(_table) > MAX_INTERNED_NODES:
         clear_caches()
     return key

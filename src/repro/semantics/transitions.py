@@ -280,29 +280,6 @@ def _match_pair(
     return value, sender_cont, receiver_cont
 
 
-def synchronize(out: PendingAction, inp: PendingAction, system: System) -> Optional[Transition]:
-    """Build the transition for one output/input pair, if admissible."""
-    matched = _match_pair(out, inp)
-    if matched is None:
-        return None
-    value, sender_cont, receiver_cont = matched
-    new_root = replace_leaves(
-        system.root,
-        {out.leaf_loc: out.wrap(sender_cont), inp.leaf_loc: inp.wrap(receiver_cont)},
-    )
-    # Administrative normalization: discharge the guards the communication
-    # just enabled and expose freshly-created parallel structure.
-    new_root = normalize(new_root)
-    target = system.with_root(new_root, out.new_private | inp.new_private)
-    action = Comm(
-        channel=out.channel_subject,
-        value=value,
-        sender=out.act_loc,
-        receiver=inp.act_loc,
-    )
-    return Transition(action=action, target=target)
-
-
 # ----------------------------------------------------------------------
 # Batched successor generation
 # ----------------------------------------------------------------------
