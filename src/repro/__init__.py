@@ -131,13 +131,6 @@ from repro.analysis.narration import (
     ref,
 )
 from repro.equivalence.barbs import barbs, converges, exhibits
-from repro.equivalence.bisimulation import BisimulationResult, weakly_bisimilar
-from repro.equivalence.musttesting import (
-    MustVerdict,
-    must_pass_system,
-    must_passes,
-    must_preorder,
-)
 from repro.equivalence.simulation import (
     SimulationResult,
     weakly_simulated,
@@ -256,8 +249,6 @@ __all__ = [
     "barbs", "exhibits", "converges", "Test", "Configuration",
     "compose", "part_locations", "passes", "may_preorder",
     "PreorderVerdict", "weakly_simulated", "SimulationResult",
-    "weakly_bisimilar", "BisimulationResult",
-    "must_passes", "must_pass_system", "must_preorder", "MustVerdict",
     # analysis
     "Knowledge", "synthesizable", "standard_attackers",
     "forwarder", "replayer", "impersonator",

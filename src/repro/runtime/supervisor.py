@@ -20,11 +20,16 @@ Architecture:
 * each **worker** (:mod:`repro.runtime.worker`) executes one job at a
   time, streams heartbeats from a daemon thread, and autosaves
   periodic exploration checkpoints;
+* an :class:`AttemptLifecycle` runs each job's attempts on the pool:
+  the job message and its hard-kill backstop, exponential-backoff
+  retries resuming from checkpoints, degradation to qualified fault
+  verdicts when retries run out, journal ``result`` records and
+  verdict-store write-through.  The batch runner and the service share
+  this one copy;
 * :func:`run_suite` supplies the *batch policy* on top: a queue of
-  :class:`Job`\\ s, exponential-backoff retries resuming from
-  checkpoints, degradation to qualified fault verdicts when retries run
-  out, and a crash-safe :class:`~repro.runtime.journal.Journal` so a
-  killed *supervisor* resumes a batch by skipping journaled jobs.
+  :class:`Job`\\ s, resume from a crash-safe
+  :class:`~repro.runtime.journal.Journal` (a killed *supervisor* skips
+  journaled jobs), a spawn cap, and retrying in-worker errors.
 
 Failure handling matrix:
 
@@ -37,7 +42,10 @@ worker exits / signalled  retry with exponential backoff; ``explore``
 RSS over ``max_rss_mb``   SIGKILL ("oom"), then retry/resume as above
 hard deadline exceeded    SIGKILL ("hang"), then retry/resume
 missed heartbeats         SIGKILL ("stalled"), then retry/resume
-job raises in-process     worker survives; same retry path
+job raises in-process     worker survives; the suite retries it as
+                          above, the service answers ``error``
+witness does not replay   (``CertificationError``) retried as above by
+                          both; never reported as a clean verdict
 retries exhausted         degrade to a qualified partial verdict with
                           ``Exhaustion(reason="fault")`` — the batch
                           still completes
@@ -65,7 +73,7 @@ from multiprocessing import connection as mp_connection
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.core.errors import ReproError
-from repro.obs.metrics import current_metrics
+from repro.obs.metrics import Metrics, current_metrics
 from repro.obs.stats import SuiteStats
 from repro.obs.trace import trace_event
 from repro.runtime.exhaustion import Exhaustion
@@ -204,26 +212,44 @@ class SuiteReport:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class _Pending:
-    """A job waiting to run (or running), with its retry state."""
+@dataclass(eq=False)
+class Attempt:
+    """A job waiting to run (or running), with its retry state.
+
+    ``attempt`` counts dispatches (0 for a job answered without one);
+    ``events`` narrates the failed attempts.  ``admitted_at`` is when a
+    caller accepted the job — journaled ``elapsed`` counts from it, or
+    from the first dispatch when it is unset.  ``protocol`` is journaled
+    when set; ``fault_plan`` is injected on the attempts listed in
+    ``fault_attempts`` (test instrumentation).
+    """
 
     job: Job
     attempt: int = 1
     ready_at: float = 0.0
     started_first: Optional[float] = None
+    admitted_at: Optional[float] = None
     events: list[str] = field(default_factory=list)
+    store_key: Optional[str] = None
+    protocol: Optional[str] = None
+    fault_plan: Optional[dict] = None
+    fault_attempts: Sequence[int] = ()
+
+    def elapsed(self, now: float) -> float:
+        origin = self.admitted_at
+        if origin is None:
+            origin = self.started_first
+        return 0.0 if origin is None else now - origin
 
 
 @dataclass
 class _Worker:
     """Supervisor-side handle of one pool process.
 
-    ``current`` is an opaque caller-owned payload (the suite runner
-    stores a :class:`_Pending`, the service a ticket) — the pool only
-    uses it to mean "busy" and hands it back on death.
-    ``hard_deadline`` optionally overrides the pool-wide hard deadline
-    for the job in flight (services dispatch per-request deadlines).
+    ``current`` is an opaque caller-owned payload (an :class:`Attempt`
+    under :class:`AttemptLifecycle`) — the pool only uses it to mean
+    "busy" and hands it back on death.  ``hard_deadline`` is the
+    wall-clock kill limit of the job in flight (``None``: no limit).
     """
 
     index: int
@@ -317,10 +343,11 @@ class WorkerPool:
 
     The pool owns *process mechanics only*: spawning and replacing
     workers, the heartbeat/RSS/deadline watchdog, SIGKILL, reaping, and
-    the pipe plumbing.  What a job *means* — retries, degradation,
-    journaling, client responses — stays with the caller, which is why
-    both the one-shot batch runner (:func:`run_suite`) and the
-    long-running verification service drive the same class.
+    the pipe plumbing.  A job's attempts — dispatch, retries,
+    degradation, journal records — are the :class:`AttemptLifecycle`
+    on top, shared by the one-shot batch runner (:func:`run_suite`) and
+    the long-running verification service; what an outcome *means*
+    (resume, client responses, breakers) stays with each caller.
 
     Args:
         size: target number of live workers (:meth:`ensure` tops up to
@@ -329,8 +356,6 @@ class WorkerPool:
             period.
         heartbeat_grace: missed-heartbeat window before a SIGKILL.
         max_rss_mb: per-worker RSS kill limit (needs /proc).
-        hard_deadline: pool-wide wall-clock kill limit per dispatched
-            job; :meth:`dispatch` may override per job.
         max_spawns: lifetime spawn budget — ``None`` for unbounded
             (services replace workers forever), a number to break
             pathological crash loops (batch runs).
@@ -347,7 +372,6 @@ class WorkerPool:
         heartbeat_interval: float = 0.25,
         heartbeat_grace: float = 15.0,
         max_rss_mb: Optional[float] = None,
-        hard_deadline: Optional[float] = None,
         max_spawns: Optional[int] = None,
         name: str = "repro-worker",
         selector: Optional[selectors.BaseSelector] = None,
@@ -358,7 +382,6 @@ class WorkerPool:
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_grace = heartbeat_grace
         self.max_rss_mb = max_rss_mb
-        self.hard_deadline = hard_deadline
         self.max_spawns = max_spawns
         self.name = name
         self.selector = selector
@@ -440,8 +463,9 @@ class WorkerPool:
         hard_deadline: Optional[float] = None,
     ) -> bool:
         """Send ``payload`` to an idle worker, marking it busy with
-        ``current``.  Returns ``False`` (and condemns the worker) when
-        the pipe is already broken — the caller should requeue."""
+        ``current``; the watchdog kills it after ``hard_deadline``
+        seconds.  Returns ``False`` (and condemns the worker) when the
+        pipe is already broken — the caller should requeue."""
         now = time.monotonic()
         worker.current = current
         worker.started_at = now
@@ -574,18 +598,219 @@ class WorkerPool:
             with self._lock:
                 snapshot = list(self._pool)
             for worker in snapshot:
-                hard = (
-                    worker.hard_deadline
-                    if worker.hard_deadline is not None
-                    else self.hard_deadline
-                )
                 reason = _kill_reason(
-                    worker, now, self.max_rss_mb, hard, self.heartbeat_grace
+                    worker, now, self.max_rss_mb, worker.hard_deadline,
+                    self.heartbeat_grace,
                 )
                 if reason is not None and worker.kill_reason is None:
                     worker.kill_reason = reason
                     trace_event("suite.kill", worker=worker.index, reason=reason)
                     self._sigkill(worker)
+
+
+# ----------------------------------------------------------------------
+# The attempt lifecycle shared by the batch runner and the service
+# ----------------------------------------------------------------------
+
+
+def backoff_delay(
+    base: float, cap: float, streak: int,
+    rng: Optional[Callable[[], float]] = None, floor: float = 0.0,
+) -> float:
+    """Capped exponential backoff before the retry that follows the
+    ``streak``-th consecutive failure (streak 1 = first failure).
+
+    Without ``rng`` this is the plain ceiling ``min(cap, base *
+    2**(streak-1))`` — deterministic, for callers that need exact
+    pacing.  With ``rng`` (a ``random()``-style callable) the delay is
+    drawn uniformly from ``[floor, 1]`` of the ceiling: ``floor=0`` is
+    full jitter, ``floor=0.5`` half-to-full jitter that never retries
+    at once.  Jitter keeps a fleet hit by one machine-wide event from
+    retrying in lockstep against whatever resource just recovered.
+    """
+    ceiling = min(cap, base * (2 ** max(0, streak - 1)))
+    if rng is None:
+        return ceiling
+    return ceiling * (floor + (1.0 - floor) * rng())
+
+
+def result_record(
+    attempt: Attempt, status: str, result: Optional[dict],
+    error: Optional[str] = None, now: float = 0.0,
+) -> dict:
+    """The journal ``result`` record of a decided job (the one writer
+    behind ``suite`` and ``serve`` journals)."""
+    record = {
+        "type": "result", "job": attempt.job.id, "status": status,
+        "attempts": attempt.attempt, "elapsed": round(attempt.elapsed(now), 4),
+        "result": result, "error": error, "events": list(attempt.events),
+    }
+    if attempt.protocol is not None:
+        record["protocol"] = attempt.protocol
+    return record
+
+
+@dataclass(eq=False, kw_only=True)
+class AttemptLifecycle:
+    """Runs :class:`Attempt`\\ s on a :class:`WorkerPool` for one caller.
+
+    It sends the job message (with a ``1.5 x deadline + hang_grace``
+    hard-kill backstop), demultiplexes pool events, journals ``result``
+    records, writes ``ok`` verdicts through to the verdict store,
+    retries a failed attempt after :func:`backoff_delay`, and degrades a
+    job whose ``retries`` are spent to an ``Exhaustion(reason="fault")``
+    verdict.  A worker error that is a ``CertificationError`` (a
+    violation whose witness would not replay) is retried like a crash:
+    it must never surface as a clean verdict.
+
+    What an outcome *means* stays with the caller, as callbacks:
+
+    * ``requeue(attempt)`` puts a job back in the caller's queue;
+    * ``on_result(attempt, result, now)``: a verdict came back (already
+      journaled and written through);
+    * ``on_spent(attempt, description, now)``: retries are spent; the
+      caller degrades the job with :meth:`fault` and reports it;
+    * ``on_error(attempt, error, now)``: any other in-worker error;
+    * ``on_end(attempt, death)``: an attempt ended, with ``death`` the
+      description when the worker died holding it and ``None`` when the
+      worker answered.
+
+    ``name`` prefixes the dispatch trace event; ``jitter`` (a
+    ``random()``-style callable) makes retry delays half-to-full
+    jittered instead of exact.
+    """
+
+    pool: WorkerPool
+    name: str
+    retries: int
+    backoff_base: float
+    backoff_cap: float
+    hang_grace: float
+    checkpoint_dir: Optional[str]
+    journal: Optional[Journal]
+    store: Optional[object]
+    metrics: Metrics
+    requeue: Callable[[Attempt], None]
+    on_result: Callable[[Attempt, dict, float], None]
+    on_spent: Callable[[Attempt, str, float], None]
+    on_error: Callable[[Attempt, str, float], None]
+    on_end: Callable[[Attempt, Optional[str]], None] = lambda attempt, death: None
+    jitter: Optional[Callable[[], float]] = None
+
+    def dispatch(
+        self, worker: _Worker, attempt: Attempt, deadline: Optional[float], now: float
+    ) -> None:
+        """Send one attempt to an idle worker with ``deadline`` as its
+        cooperative budget; a broken pipe requeues it."""
+        if attempt.started_first is None:
+            attempt.started_first = now
+        job = attempt.job
+        sent = self.pool.dispatch(
+            worker,
+            {
+                "type": "job",
+                "job": job.to_json(),
+                "attempt": attempt.attempt,
+                "deadline": deadline,
+                "checkpoint": job_checkpoint_path(job, self.checkpoint_dir),
+                "fault_plan": attempt.fault_plan
+                if attempt.attempt in attempt.fault_attempts else None,
+            },
+            current=attempt,
+            hard_deadline=(
+                deadline * 1.5 + self.hang_grace if deadline is not None else None
+            ),
+        )
+        if sent:
+            trace_event(
+                f"{self.name}.dispatch",
+                job=job.id, worker=worker.index, attempt=attempt.attempt,
+            )
+        else:
+            self.requeue(attempt)  # the reaper will respawn
+
+    def poll(self, timeout: float) -> None:
+        """Wait up to ``timeout`` for pool events and handle them."""
+        events = self.pool.poll(timeout=timeout)
+        now = time.monotonic()
+        for event in events:
+            if event.kind == "exit":
+                attempt = event.current
+                if attempt is not None:
+                    description = event.description or "worker lost"
+                    self.on_end(attempt, description)
+                    self.retry(attempt, description, now)
+            elif event.message is not None:
+                self._message(event.worker, event.message, now)
+
+    def _message(self, worker: _Worker, message: dict, now: float) -> None:
+        kind = message.get("type")
+        attempt = worker.current
+        if (
+            kind not in ("result", "error")
+            or attempt is None
+            or message.get("job") != attempt.job.id
+        ):
+            return  # liveness chatter, or a job we already gave up on
+        self.pool.release(worker)
+        self.on_end(attempt, None)
+        if kind == "error":
+            error = message.get("error", "worker error")
+            if error.startswith("CertificationError"):
+                self.metrics.inc("witness.failed")
+                self.retry(attempt, error, now)
+            else:
+                self.on_error(attempt, error, now)
+            return
+        result = message["result"]
+        if isinstance(result, dict) and result.get("certified"):
+            self.metrics.inc("witness.replayed")
+        self._journal(result_record(attempt, OK, result, None, now))
+        if self.store is not None and attempt.store_key is not None:
+            # Write-through, only here: fault verdicts are retryable
+            # stubs and never persist; `put` also refuses verdicts that
+            # are not budget-pure.  Store trouble costs the cache, never
+            # the verdict.
+            try:
+                if self.store.put(
+                    attempt.store_key, result,
+                    kind=attempt.job.kind, protocol=attempt.protocol,
+                ):
+                    self.metrics.inc("store.write")
+            except OSError:
+                self.metrics.inc("store.error")
+        self.on_result(attempt, result, now)
+
+    def retry(self, attempt: Attempt, description: str, now: float) -> None:
+        """One attempt failed: requeue it after a backoff, or hand it to
+        ``on_spent`` once ``retries`` extra attempts are used up."""
+        attempt.events.append(f"attempt {attempt.attempt}: {description}")
+        if attempt.attempt > self.retries:
+            self.on_spent(attempt, description, now)
+            return
+        attempt.ready_at = now + backoff_delay(
+            self.backoff_base, self.backoff_cap, attempt.attempt, self.jitter, 0.5
+        )
+        attempt.attempt += 1
+        self.requeue(attempt)
+
+    def fault(self, attempt: Attempt, detail: str, now: float) -> dict:
+        """Degrade a job to a qualified fault verdict, journal it, and
+        return it.  The verdict keeps the progress its autosave
+        preserved; a job answered without dispatch (attempt 0) has
+        none."""
+        job, started = attempt.job, attempt.started_first
+        states = checkpointed_states(job, self.checkpoint_dir) if attempt.attempt else 0
+        result = Exhaustion(
+            ("fault",), states=states,
+            elapsed=(now - started) if started else None, detail=detail,
+        ).verdict(job.kind)
+        self._journal(result_record(attempt, FAULT, result, detail, now))
+        return result
+
+    def _journal(self, record: dict) -> None:
+        if self.journal is not None:
+            self.journal.append(record)
 
 
 # ----------------------------------------------------------------------
@@ -727,7 +952,16 @@ def run_suite(
     started = time.monotonic()
     done: dict[str, JobOutcome] = {}
 
-    def decide(outcome: JobOutcome) -> None:
+    def decide(attempt: Attempt, status: str, result, error=None, now=0.0) -> None:
+        outcome = JobOutcome(
+            job=attempt.job,
+            status=status,
+            attempts=attempt.attempt,
+            elapsed=attempt.elapsed(now),
+            result=result,
+            error=error,
+            events=tuple(attempt.events),
+        )
         done[outcome.job.id] = outcome
         trace_event(
             "suite.outcome",
@@ -740,20 +974,21 @@ def run_suite(
 
     # -- resume: skip journaled jobs ----------------------------------
     prior = journaled_results(journal_path) if resume else {}
-    queue: list[_Pending] = []
+    plan_json = fault_plan.to_json() if fault_plan is not None else None
+    queue: list[Attempt] = []
     for job in jobs:
         record = prior.get(job.id)
         if record is not None and not (retry_faults and record.get("status") == FAULT):
-            decide(JobOutcome(
-                job=job,
-                status=SKIPPED,
-                attempts=int(record.get("attempts", 1)),
-                elapsed=0.0,
-                result=record.get("result"),
-                error=record.get("error"),
-            ))
+            decide(
+                Attempt(job, attempt=int(record.get("attempts", 1))),
+                SKIPPED,
+                record.get("result"),
+                record.get("error"),
+            )
         else:
-            queue.append(_Pending(job))
+            queue.append(
+                Attempt(job, fault_plan=plan_json, fault_attempts=fault_attempts)
+            )
 
     journal = (
         Journal(journal_path, fresh=not resume) if journal_path is not None else None
@@ -764,9 +999,8 @@ def run_suite(
     # instrumentation that must actually run, and a warm store would
     # short-circuit them.
     store = None
-    store_keys: dict[str, str] = {}
     store_hits = store_misses = 0
-    witness_replayed = witness_failed = 0
+    counters = Metrics()
     if verdict_store is not None and fault_plan is None:
         from repro.service.store import VerdictStore, store_key
 
@@ -778,30 +1012,16 @@ def run_suite(
             result = store.lookup(key)
             if result is None:
                 store_misses += 1
-                store_keys[pending.job.id] = key
+                pending.store_key = key
                 continue
             store_hits += 1
             queue.remove(pending)
-            outcome = JobOutcome(
-                job=pending.job,
-                status=OK,
-                attempts=0,  # no worker ever dispatched
-                elapsed=0.0,
-                result=result,
-                events=("served from verdict store",),
-            )
+            # No worker ever dispatched: attempts=0, journaled like a
+            # computed outcome so `resume` still works.
+            hit = Attempt(pending.job, attempt=0, events=["served from verdict store"])
             if journal is not None:
-                journal.append({
-                    "type": "result",
-                    "job": outcome.job.id,
-                    "status": outcome.status,
-                    "attempts": outcome.attempts,
-                    "elapsed": 0.0,
-                    "result": outcome.result,
-                    "error": None,
-                    "events": list(outcome.events),
-                })
-            decide(outcome)
+                journal.append(result_record(hit, OK, result))
+            decide(hit, OK, result)
 
     scratch = checkpoint_dir
     scratch_owned = False
@@ -811,10 +1031,6 @@ def run_suite(
     elif scratch is not None:
         os.makedirs(scratch, exist_ok=True)
 
-    hard_deadline = (
-        job_deadline * 1.5 + hang_grace if job_deadline is not None else None
-    )
-    plan_json = fault_plan.to_json() if fault_plan is not None else None
     # Every legitimate spawn is a pool slot or a post-crash replacement;
     # the cap only breaks pathological crash loops (e.g. workers dying
     # on import) instead of spinning forever.
@@ -823,114 +1039,32 @@ def run_suite(
         heartbeat_interval=heartbeat_interval,
         heartbeat_grace=heartbeat_grace,
         max_rss_mb=max_rss_mb,
-        hard_deadline=hard_deadline,
         max_spawns=workers + len(queue) * (retries + 1),
         name="repro-suite-worker",
     )
 
-    def journal_outcome(outcome: JobOutcome) -> None:
-        if journal is None:
-            return
-        journal.append({
-            "type": "result",
-            "job": outcome.job.id,
-            "status": outcome.status,
-            "attempts": outcome.attempts,
-            "elapsed": round(outcome.elapsed, 4),
-            "result": outcome.result,
-            "error": outcome.error,
-            "events": list(outcome.events),
-        })
-
-    def degrade(pending: _Pending, now: float) -> None:
+    def degrade(attempt: Attempt, now: float) -> None:
         """Retry budget exhausted: record a qualified partial verdict."""
-        states = checkpointed_states(pending.job, scratch)
-        detail = pending.events[-1] if pending.events else "worker lost"
-        exhaustion = Exhaustion(
-            ("fault",),
-            states=states,
-            elapsed=(now - pending.started_first) if pending.started_first else None,
-            detail=detail,
-        )
-        outcome = JobOutcome(
-            job=pending.job,
-            status=FAULT,
-            attempts=pending.attempt,
-            elapsed=(now - pending.started_first) if pending.started_first else 0.0,
-            result=exhaustion.verdict(pending.job.kind),
-            error=detail,
-            events=tuple(pending.events),
-        )
-        journal_outcome(outcome)
-        decide(outcome)
+        detail = attempt.events[-1] if attempt.events else "worker lost"
+        decide(attempt, FAULT, lifecycle.fault(attempt, detail, now), detail, now)
 
-    def handle_failure(pending: _Pending, description: str, now: float) -> None:
-        """One attempt died (crash, kill, or in-worker error)."""
-        nonlocal witness_failed
-        if description.startswith("CertificationError"):
-            # A violation whose witness would not replay: retried like
-            # any fault, degraded (never reported as a clean verdict)
-            # if certification keeps failing.
-            witness_failed += 1
-        pending.events.append(f"attempt {pending.attempt}: {description}")
-        if pending.attempt >= retries + 1:
-            degrade(pending, now)
-            return
-        delay = min(backoff_cap, backoff_base * (2 ** (pending.attempt - 1)))
-        pending.attempt += 1
-        pending.ready_at = now + delay
-        queue.append(pending)
-
-    def handle_message(worker: _Worker, message: dict, now: float) -> None:
-        kind = message.get("type")
-        pending = worker.current
-        if (
-            kind == "started"
-            or pending is None
-            or message.get("job") != pending.job.id
-        ):
-            return  # liveness chatter, or a job we already gave up on
-        if kind == "result":
-            nonlocal witness_replayed
-            pool.release(worker)
-            if isinstance(message.get("result"), dict) and message["result"].get(
-                "certified"
-            ):
-                witness_replayed += 1
-            outcome = JobOutcome(
-                job=pending.job,
-                status=OK,
-                attempts=pending.attempt,
-                elapsed=now - (pending.started_first or now),
-                result=message["result"],
-                events=tuple(pending.events),
-            )
-            journal_outcome(outcome)
-            if store is not None:
-                # Write-through (only ok outcomes ever reach here;
-                # `put` additionally refuses non-budget-pure verdicts).
-                # A store hiccup costs the cache, never the suite.
-                try:
-                    store.put(
-                        store_keys.get(pending.job.id),
-                        message["result"],
-                        kind=pending.job.kind,
-                    )
-                except OSError:
-                    pass
-            decide(outcome)
-        elif kind == "error":
-            pool.release(worker)
-            handle_failure(pending, message.get("error", "worker error"), now)
-
-    def handle_events(events: list[PoolEvent]) -> None:
-        now = time.monotonic()
-        for event in events:
-            if event.kind == "exit":
-                if event.current is not None:
-                    handle_failure(event.current, event.description or "worker lost", now)
-            elif event.message is not None:
-                handle_message(event.worker, event.message, now)
+    lifecycle = AttemptLifecycle(
+        pool=pool,
+        name="suite",
+        retries=retries,
+        backoff_base=backoff_base,
+        backoff_cap=backoff_cap,
+        hang_grace=hang_grace,
+        checkpoint_dir=scratch,
+        journal=journal,
+        store=store,
+        metrics=counters,
+        requeue=queue.append,
+        on_result=lambda attempt, result, now: decide(attempt, OK, result, None, now),
+        on_spent=lambda attempt, description, now: degrade(attempt, now),
+        # A batch retries in-worker errors like crashes.
+        on_error=lambda attempt, error, now: lifecycle.retry(attempt, error, now),
+    )
 
     drained = False
     try:
@@ -939,7 +1073,7 @@ def run_suite(
             draining = drain is not None and drain.is_set()
 
             # Reap the dead first so their jobs re-enter the queue.
-            handle_events(pool.poll(timeout=0))
+            lifecycle.poll(timeout=0)
 
             if draining:
                 # Stop dispatching; once nothing is in flight, stop.
@@ -955,32 +1089,8 @@ def run_suite(
                     ready = [p for p in queue if p.ready_at <= now]
                     if not ready:
                         break
-                    pending = ready[0]
-                    queue.remove(pending)
-                    if pending.started_first is None:
-                        pending.started_first = now
-                    sent = pool.dispatch(worker, {
-                        "type": "job",
-                        "job": pending.job.to_json(),
-                        "attempt": pending.attempt,
-                        "deadline": job_deadline,
-                        "checkpoint": job_checkpoint_path(pending.job, scratch),
-                        "fault_plan": (
-                            plan_json
-                            if plan_json is not None
-                            and pending.attempt in fault_attempts
-                            else None
-                        ),
-                    }, current=pending)
-                    if sent:
-                        trace_event(
-                            "suite.dispatch",
-                            job=pending.job.id,
-                            worker=worker.index,
-                            attempt=pending.attempt,
-                        )
-                    else:
-                        queue.append(pending)  # the reaper will respawn
+                    queue.remove(ready[0])
+                    lifecycle.dispatch(worker, ready[0], job_deadline, now)
 
             if len(done) >= len(jobs):
                 break
@@ -996,7 +1106,7 @@ def run_suite(
 
             # Drain messages (with a timeout so the loop stays live for
             # backoff expiry and death detection).
-            handle_events(pool.poll(timeout=0.1))
+            lifecycle.poll(timeout=0.1)
     finally:
         pool.shutdown()
         if journal is not None:
@@ -1023,13 +1133,10 @@ def run_suite(
             "suite.retries", sum(max(0, o.attempts - 1) for o in report.outcomes)
         )
         metrics.inc("suite.faults", len(report.by_status(FAULT)))
-        if witness_replayed:
-            metrics.inc("witness.replayed", witness_replayed)
-        if witness_failed:
-            metrics.inc("witness.failed", witness_failed)
         if store is not None:
-            metrics.inc("store.hit", store_hits)
-            metrics.inc("store.miss", store_misses)
+            counters.inc("store.hit", store_hits)
+            counters.inc("store.miss", store_misses)
+        metrics.absorb(counters)
         metrics.set_gauge("suite.workers", workers)
         metrics.observe("suite.seconds", elapsed)
     return report

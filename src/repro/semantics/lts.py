@@ -371,7 +371,7 @@ def explore(
     permutation of replicated sessions share one key (see
     :mod:`repro.semantics.reduction`): a quotient by an automorphism of
     the LTS, so the graph keeps the full branching structure that
-    bisimulation, simulation and must-testing read.
+    simulation reads.
     """
     graph = Graph(initial=system.canonical_key())
     with trace_span("lts.explore", max_states=budget.max_states,

@@ -6,7 +6,7 @@ symmetry section of :mod:`repro.semantics.canonical`, which owns the
 machinery and the on/off switch (key assembly cannot depend on this
 module).  The merge is a quotient by an automorphism of the transition
 system, so it preserves reachability, deadlocks, the may-testing
-preorder and the simulation/bisimulation games alike: an exhaustive
+preorder and the simulation game alike: an exhaustive
 verdict is the same with it on or off, and only the number of explored
 states (hence how far a budget reaches) changes.
 

@@ -14,7 +14,8 @@ Layers, bottom up:
 * :mod:`repro.service.admission` — the bounded shed-on-full queue;
 * :mod:`repro.service.breaker` — per-protocol circuit breakers;
 * :mod:`repro.service.server` — the selectors event loop on top of the
-  supervised :class:`~repro.runtime.supervisor.WorkerPool`;
+  supervised :class:`~repro.runtime.supervisor.WorkerPool` and the
+  attempt lifecycle it shares with the batch runner;
 * :mod:`repro.service.client` — blocking client with retry, backoff,
   jitter, and deadline propagation;
 * :mod:`repro.service.store` — the persistent cross-run verdict store
@@ -45,8 +46,8 @@ from repro.service.protocol import (
     parse_request,
 )
 from repro.service.health import HealthMonitor
-from repro.service.router import ClusterError, Router, RouterConfig, run_cluster
-from repro.service.server import Server, ServerConfig, ServiceError, serve
+from repro.service.router import ClusterError, Router, RouterConfig
+from repro.service.server import Server, ServerConfig, ServiceError
 from repro.service.shards import HashRing, LocalShard, ShardSpec
 from repro.service.store import (
     StoreError,
@@ -85,7 +86,5 @@ __all__ = [
     "parse_address",
     "parse_request",
     "recv_frame",
-    "run_cluster",
     "send_frame",
-    "serve",
 ]

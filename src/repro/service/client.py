@@ -42,6 +42,7 @@ from typing import Any, Callable, Optional
 
 from repro.core.errors import ReproError
 from repro.runtime.deadline import Deadline
+from repro.runtime.supervisor import backoff_delay
 from repro.service.framing import FramingError, recv_frame, send_frame
 from repro.service.protocol import PROTOCOL_VERSION
 
@@ -186,8 +187,9 @@ class ServiceClient:
                 hinted = reply.get("retry_after")
             if attempt >= self.retries:
                 break
-            delay = min(self.backoff_cap, self.backoff_base * (2**attempt))
-            delay *= 0.5 + 0.5 * self.jitter()  # full-ish jitter, never zero
+            delay = backoff_delay(  # half-to-full jitter, never zero
+                self.backoff_base, self.backoff_cap, attempt + 1, self.jitter, 0.5
+            )
             if hinted is not None:
                 delay = max(delay, float(hinted) * (0.5 + 0.5 * self.jitter()))
             if deadline is not None:

@@ -66,6 +66,7 @@ from repro.service.client import ServiceClient, ServiceUnavailable
 from repro.service.framing import FramingError, recv_frame, send_frame
 from repro.service.health import HealthMonitor
 from repro.service.protocol import ProtocolError, Request, parse_request
+from repro.service.server import bind_listeners, close_listeners
 from repro.service.shards import (
     HashRing,
     LocalShard,
@@ -299,25 +300,12 @@ class Router:
         if self._bound:
             return
         cfg = self.config
-        if cfg.socket_path is not None:
-            if os.path.exists(cfg.socket_path):
-                os.unlink(cfg.socket_path)
-            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            listener.bind(cfg.socket_path)
-            self._add_listener(listener)
-        if cfg.port is not None:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((cfg.host or "127.0.0.1", cfg.port))
-            self.tcp_address = listener.getsockname()[:2]
-            self._add_listener(listener)
+        self._listeners, self.tcp_address = bind_listeners(
+            cfg.socket_path, cfg.host, cfg.port
+        )
+        for listener in self._listeners:
+            self._selector.register(listener, selectors.EVENT_READ, None)
         self._bound = True
-
-    def _add_listener(self, listener: socket.socket) -> None:
-        listener.listen(64)
-        listener.setblocking(False)
-        self._selector.register(listener, selectors.EVENT_READ, None)
-        self._listeners.append(listener)
 
     def spawn_shards(self) -> None:
         """Start every local shard (idempotent)."""
@@ -798,21 +786,8 @@ class Router:
             )
 
     def _close_listeners(self) -> None:
-        for listener in self._listeners:
-            try:
-                self._selector.unregister(listener)
-            except (KeyError, ValueError, OSError):
-                pass
-            try:
-                listener.close()
-            except OSError:
-                pass
-        self._listeners.clear()
-        if self._bound and self.config.socket_path is not None:
-            try:
-                os.unlink(self.config.socket_path)
-            except OSError:
-                pass
+        path = self.config.socket_path if self._bound else None
+        close_listeners(self._listeners, self._selector, path)
 
     def _shutdown(self) -> None:
         self._draining = True
@@ -836,23 +811,3 @@ class Router:
         if ambient is not None:
             ambient.absorb(self.metrics)
 
-
-def run_cluster(config: RouterConfig) -> int:
-    """Blocking entry point: bind, install drain-on-SIGINT/SIGTERM
-    handlers, route until drained.  Returns the exit status (``0``
-    after a clean drain)."""
-    from repro.runtime.lifecycle import drain_signals
-
-    router = Router(config)
-    router.bind()
-    with drain_signals(on_signal=lambda signum: router.request_drain()) as drain:
-        if drain.is_set():
-            router.request_drain()
-
-        def _watch_drain() -> None:
-            drain.wait()
-            router.request_drain()
-
-        watcher = threading.Thread(target=_watch_drain, daemon=True)
-        watcher.start()
-        return router.serve_forever()

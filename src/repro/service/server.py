@@ -59,18 +59,13 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.errors import ReproError
 from repro.obs.metrics import Metrics, current_metrics
 from repro.obs.trace import trace_event
-from repro.runtime.exhaustion import Exhaustion
 from repro.runtime.journal import Journal
-from repro.runtime.supervisor import (
-    WorkerPool,
-    checkpointed_states,
-    job_checkpoint_path,
-)
+from repro.runtime.supervisor import Attempt, AttemptLifecycle, WorkerPool
 from repro.service import protocol
 from repro.service.admission import AdmissionQueue
 from repro.service.breaker import CLOSED, BreakerBoard
@@ -156,32 +151,77 @@ class _Client:
     closed: bool = False
 
 
-@dataclass(eq=False)
-class _Ticket:
+@dataclass(eq=False, kw_only=True)
+class _Ticket(Attempt):
     """One admitted request travelling through queue -> worker -> reply.
 
     ``ready_at``/``deadline_at`` are the attributes
-    :class:`AdmissionQueue` keys on; ``probe`` marks the single request
-    allowed through a half-open breaker.
+    :class:`AdmissionQueue` keys on; ``protocol`` is the breaker key;
+    ``probe`` marks the single request allowed through a half-open
+    breaker.  ``store_key`` is computed at admission (``None`` when
+    there is no store, the job cannot be keyed, or the request carries
+    test instrumentation: fault plans must run).
     """
 
     request: Request
     client: Optional[_Client]
-    key: str
-    admitted_at: float
     deadline_at: Optional[float] = None
-    attempt: int = 1
-    ready_at: float = 0.0
-    started_first: Optional[float] = None
     probe: bool = False
-    #: Verdict-store key computed at admission (``--verdict-store``);
-    #: ``None`` when there is no store, the job cannot be keyed, or the
-    #: request carries test instrumentation (fault plans must run).
-    store_key: Optional[str] = None
-    events: list[str] = field(default_factory=list)
     #: Duplicate submitters coalesced onto this ticket (``--dedupe``);
     #: they receive the same final answer as the original client.
     extra_clients: list = field(default_factory=list)
+
+
+def bind_listeners(
+    socket_path: Optional[str], host: Optional[str], port: Optional[int]
+) -> tuple[list[socket.socket], Optional[tuple[str, int]]]:
+    """Non-blocking listeners on a Unix socket and/or a TCP port, plus
+    the TCP address actually bound (port 0 = ephemeral)."""
+    listeners: list[socket.socket] = []
+    tcp_address = None
+    if socket_path is not None:
+        if os.path.exists(socket_path):
+            # A stale socket file from a dead server blocks bind();
+            # a live server would still hold it open, but two
+            # servers on one path is operator error either way.
+            os.unlink(socket_path)
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        listener.bind(socket_path)
+        listeners.append(listener)
+    if port is not None:
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind((host or "127.0.0.1", port))
+        tcp_address = listener.getsockname()[:2]
+        listeners.append(listener)
+    for listener in listeners:
+        listener.listen(64)
+        listener.setblocking(False)
+    return listeners, tcp_address
+
+
+def close_listeners(
+    listeners: list[socket.socket],
+    selector: selectors.BaseSelector,
+    socket_path: Optional[str],
+) -> None:
+    """Unregister and close every listener, then unlink the Unix socket
+    file (pass ``None`` to leave it)."""
+    for listener in listeners:
+        try:
+            selector.unregister(listener)
+        except (KeyError, ValueError, OSError):
+            pass
+        try:
+            listener.close()
+        except OSError:
+            pass
+    listeners.clear()
+    if socket_path is not None:
+        try:
+            os.unlink(socket_path)
+        except OSError:
+            pass
 
 
 class Server:
@@ -237,6 +277,27 @@ class Server:
             self.store: Optional[VerdictStore] = VerdictStore(config.verdict_store)
         else:
             self.store = None
+        self.lifecycle = AttemptLifecycle(
+            pool=self.pool,
+            name="service",
+            retries=config.retries,
+            backoff_base=config.backoff_base,
+            backoff_cap=config.backoff_cap,
+            hang_grace=config.hang_grace,
+            checkpoint_dir=config.checkpoint_dir,
+            journal=self.journal,
+            store=self.store,
+            metrics=self.metrics,
+            requeue=self.queue.requeue,
+            on_result=self._complete,
+            on_spent=self._degrade,
+            on_error=self._worker_error,
+            on_end=self._attempt_ended,
+            # Half-to-full jitter: a whole fleet of shards whose workers
+            # were OOM-killed by the same machine-wide event must not
+            # all re-dispatch on the same exponential schedule.
+            jitter=random.random,
+        )
         #: request id -> live ticket, for coalescing duplicates.
         self._inflight_ids: dict[str, _Ticket] = {}
         self._listeners: list[socket.socket] = []
@@ -261,28 +322,16 @@ class Server:
         if self._bound:
             return
         cfg = self.config
-        if cfg.socket_path is not None:
-            if os.path.exists(cfg.socket_path):
-                # A stale socket file from a dead server blocks bind();
-                # a live server would still hold it open, but two
-                # servers on one path is operator error either way.
-                os.unlink(cfg.socket_path)
-            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            listener.bind(cfg.socket_path)
-            self._add_listener(listener)
-        if cfg.port is not None:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((cfg.host or "127.0.0.1", cfg.port))
-            self.tcp_address = listener.getsockname()[:2]
-            self._add_listener(listener)
+        self._listeners, self.tcp_address = bind_listeners(
+            cfg.socket_path, cfg.host, cfg.port
+        )
+        for listener in self._listeners:
+            self._selector.register(listener, selectors.EVENT_READ, ("listener", None))
         self._bound = True
 
-    def _add_listener(self, listener: socket.socket) -> None:
-        listener.listen(64)
-        listener.setblocking(False)
-        self._selector.register(listener, selectors.EVENT_READ, ("listener", None))
-        self._listeners.append(listener)
+    def _close_listeners(self) -> None:
+        path = self.config.socket_path if self._bound else None
+        close_listeners(self._listeners, self._selector, path)
 
     def request_drain(self) -> None:
         """Ask the serve loop to drain (thread- and signal-safe); the
@@ -304,8 +353,8 @@ class Server:
             while True:
                 if self._drain.is_set() and not self._draining:
                     self._begin_drain()
+                self.lifecycle.poll(timeout=0)
                 now = time.monotonic()
-                self._handle_pool_events(now)
                 self._expire_queued(now)
                 if not self._draining:
                     self.pool.ensure()
@@ -325,7 +374,7 @@ class Server:
         """Wait up to ``timeout`` for any event and serve the sockets.
 
         Worker pipes need nothing here: their readiness only ends the
-        wait, and the next :meth:`_handle_pool_events` reads them.
+        wait, and the next :meth:`AttemptLifecycle.poll` reads them.
         """
         for key, mask in self._selector.select(timeout):
             role, payload = key.data
@@ -492,41 +541,36 @@ class Server:
         key = protocol.protocol_key(request.target)
         breaker = self.breakers.get(key)
         if not breaker.allow():
-            self._degrade_fast(client, request, breaker.last_fault or "circuit open")
+            detail = breaker.last_fault or "circuit open"
+            self._degrade_fast(client, request, key, detail)
             return
         ticket = _Ticket(
+            job=request.job(),
             request=request,
             client=client,
-            key=key,
+            protocol=key,
             admitted_at=now,
             probe=breaker.state != CLOSED,
             store_key=store_key,
+            fault_plan=request.fault_plan,
+            fault_attempts=request.fault_attempts,
         )
         budget = request.deadline or self.config.job_deadline
         if budget is not None:
             ticket.deadline_at = now + budget
         if not self.queue.offer(ticket):
-            if ticket.probe:
-                breaker.abandon_probe()
-            self.metrics.inc("service.shed")
-            self._journal({
-                "type": "shed", "job": request.id, "protocol": key,
-                "reason": "overloaded",
-            })
-            self._respond(
-                client,
-                protocol.response(
-                    request.id,
-                    protocol.OVERLOADED,
-                    error=f"admission queue full ({self.queue.limit})",
-                    retry_after=round(self.config.backoff_base * 4, 3),
-                ),
+            self._shed(
+                ticket,
+                protocol.OVERLOADED,
+                reason="overloaded",
+                error=f"admission queue full ({self.queue.limit})",
+                retry_after=round(self.config.backoff_base * 4, 3),
             )
             return
         if self.config.dedupe:
             self._inflight_ids[request.id] = ticket
             # Claim the idempotency key durably *before* any verdict
-            # exists.  A router promoted mid-compute sees no result for
+            # exists.  A router restarted mid-compute sees no result for
             # a re-driven id, but it does see this claim — and pins the
             # retry back to this shard, where the in-flight coalescer
             # above turns it into the one verdict instead of a second
@@ -651,52 +695,25 @@ class Server:
         if self.journal is not None:
             self.journal.append(record)
 
-    def _degrade_fast(self, client: Optional[_Client], request: Request, detail: str) -> None:
+    def _degrade_fast(
+        self, client: Optional[_Client], request: Request, key: str, detail: str
+    ) -> None:
         """Breaker-open fast path: cached fault verdict, no queue time."""
-        exhaustion = Exhaustion.single("fault", detail=detail)
-        result = exhaustion.verdict(request.kind)
-        self.metrics.inc("service.degraded")
-        self._journal({
-            "type": "result",
-            "job": request.id,
-            "protocol": protocol.protocol_key(request.target),
-            "status": "fault",
-            "attempts": 0,
-            "elapsed": 0.0,
-            "result": result,
-            "error": detail,
-            "events": ["degraded without dispatch: circuit open"],
-        })
-        self._respond(
-            client,
-            protocol.response(
-                request.id, protocol.DEGRADED, result=result, error=detail
-            ),
+        ticket = _Ticket(
+            job=request.job(),
+            request=request,
+            client=client,
+            protocol=key,
+            attempt=0,
+            events=["degraded without dispatch: circuit open"],
         )
+        self._degrade(ticket, detail, time.monotonic())
 
-    def _degrade(self, ticket: _Ticket, detail: str, reason: str = "fault") -> None:
-        """Retry budget (or drain grace, or deadline) exhausted."""
-        now = time.monotonic()
-        job = ticket.request.job()
-        exhaustion = Exhaustion.single(
-            reason,
-            states=checkpointed_states(job, self.config.checkpoint_dir),
-            elapsed=(now - ticket.started_first) if ticket.started_first else None,
-            detail=detail,
-        )
-        result = exhaustion.verdict(ticket.request.kind)
+    def _degrade(self, ticket: _Ticket, detail: str, now: float) -> None:
+        """Retry budget (or drain grace) exhausted, or the breaker is
+        open."""
+        result = self.lifecycle.fault(ticket, detail, now)
         self.metrics.inc("service.degraded")
-        self._journal({
-            "type": "result",
-            "job": ticket.request.id,
-            "protocol": ticket.key,
-            "status": "fault",
-            "attempts": ticket.attempt,
-            "elapsed": round(now - ticket.admitted_at, 4),
-            "result": result,
-            "error": detail,
-            "events": list(ticket.events),
-        })
         self._answer(
             ticket,
             protocol.response(
@@ -704,57 +721,59 @@ class Server:
             ),
         )
 
-    def _complete(self, ticket: _Ticket, result: dict) -> None:
-        now = time.monotonic()
-        elapsed = now - ticket.admitted_at
+    def _complete(self, ticket: _Ticket, result: dict, now: float) -> None:
         self.metrics.inc("service.completed")
-        self.metrics.observe("service.latency", elapsed)
-        if self.store is not None and ticket.store_key is not None:
-            # Write-through, only here: `_degrade`/`_degrade_fast`
-            # verdicts are retryable fault stubs and must never be
-            # persisted.  `put` additionally refuses deadline-qualified
-            # results (not budget-pure).  Store trouble costs the cache,
-            # never the response.
-            try:
-                if self.store.put(
-                    ticket.store_key,
-                    result,
-                    kind=ticket.request.kind,
-                    protocol=ticket.key,
-                ):
-                    self.metrics.inc("store.write")
-            except OSError:
-                self.metrics.inc("store.error")
-        self._journal({
-            "type": "result",
-            "job": ticket.request.id,
-            "protocol": ticket.key,
-            "status": "ok",
-            "attempts": ticket.attempt,
-            "elapsed": round(elapsed, 4),
-            "result": result,
-            "error": None,
-            "events": list(ticket.events),
-        })
+        self.metrics.observe("service.latency", now - ticket.admitted_at)
         self._answer(
             ticket,
             protocol.response(ticket.request.id, protocol.OK, result=result),
         )
 
-    def _shed(self, ticket: _Ticket, status: str, reason: str, error: str) -> None:
-        """Bounce an already-queued ticket back to its client un-run."""
+    def _attempt_ended(self, ticket: _Ticket, death: Optional[str]) -> None:
+        """Breaker bookkeeping: a worker that answered (``death`` is
+        ``None``), even with an error, shows the protocol did not crash
+        it; a dead one counts against the protocol's breaker."""
+        breaker = self.breakers.get(ticket.protocol)
+        if death is None:
+            breaker.record_success()
+            return
+        self.metrics.inc("service.crashes")
+        breaker.record_fault(f"{ticket.request.id}: {death}")
+        ticket.probe = False
+        trace_event(
+            "service.crash", job=ticket.request.id, detail=death,
+            breaker=breaker.state,
+        )
+
+    def _worker_error(self, ticket: _Ticket, error: str, now: float) -> None:
+        """Deterministic in-worker failure: the request's fault, not the
+        protocol's — answer it as an error instead of retrying."""
+        self.metrics.inc("service.errors")
+        self._journal({
+            "type": "error", "job": ticket.request.id,
+            "protocol": ticket.protocol, "error": error,
+        })
+        self._answer(
+            ticket,
+            protocol.response(ticket.request.id, protocol.ERROR, error=error),
+        )
+
+    def _shed(
+        self, ticket: _Ticket, status: str, reason: str, error: str, **extra
+    ) -> None:
+        """Bounce a ticket back to its client un-run."""
         if ticket.probe:
-            self.breakers.get(ticket.key).abandon_probe()
+            self.breakers.get(ticket.protocol).abandon_probe()
         self.metrics.inc("service.shed")
         self._journal({
             "type": "shed",
             "job": ticket.request.id,
-            "protocol": ticket.key,
+            "protocol": ticket.protocol,
             "reason": reason,
         })
         self._answer(
             ticket,
-            protocol.response(ticket.request.id, status, error=error),
+            protocol.response(ticket.request.id, status, error=error, **extra),
         )
 
     # -- scheduling ----------------------------------------------------
@@ -777,141 +796,19 @@ class Server:
             ticket = self.queue.take(now)
             if ticket is None:
                 break
-            breaker = self.breakers.get(ticket.key)
+            breaker = self.breakers.get(ticket.protocol)
             if breaker.state != CLOSED and not ticket.probe:
                 # The breaker opened while this ticket queued (another
                 # request for the same protocol crashed its workers).
                 if breaker.allow():
                     ticket.probe = True
                 else:
-                    self._degrade(ticket, breaker.last_fault or "circuit open")
+                    self._degrade(ticket, breaker.last_fault or "circuit open", now)
                     continue
             deadline = None
             if ticket.deadline_at is not None:
                 deadline = max(0.0, ticket.deadline_at - now)
-            hard = (
-                deadline * 1.5 + self.config.hang_grace
-                if deadline is not None
-                else None
-            )
-            job = ticket.request.job()
-            plan = None
-            if (
-                self.config.allow_fault_injection
-                and ticket.request.fault_plan is not None
-                and ticket.attempt in ticket.request.fault_attempts
-            ):
-                plan = ticket.request.fault_plan
-            if ticket.started_first is None:
-                ticket.started_first = now
-            sent = self.pool.dispatch(
-                worker,
-                {
-                    "type": "job",
-                    "job": job.to_json(),
-                    "attempt": ticket.attempt,
-                    "deadline": deadline,
-                    "checkpoint": job_checkpoint_path(job, self.config.checkpoint_dir),
-                    "fault_plan": plan,
-                },
-                current=ticket,
-                hard_deadline=hard,
-            )
-            if sent:
-                trace_event(
-                    "service.dispatch",
-                    job=ticket.request.id,
-                    worker=worker.index,
-                    attempt=ticket.attempt,
-                )
-            else:
-                self.queue.requeue(ticket)  # dead pipe; the reaper respawns
-
-    def _handle_pool_events(self, now: float) -> None:
-        for event in self.pool.poll(timeout=0):
-            if event.kind == "exit":
-                ticket = event.current
-                if ticket is not None:
-                    self._worker_died(ticket, event.description or "worker lost", now)
-            elif event.message is not None:
-                self._worker_message(event.worker, event.message)
-
-    def _worker_died(self, ticket: _Ticket, description: str, now: float) -> None:
-        self.metrics.inc("service.crashes")
-        ticket.events.append(f"attempt {ticket.attempt}: {description}")
-        breaker = self.breakers.get(ticket.key)
-        breaker.record_fault(f"{ticket.request.id}: {description}")
-        ticket.probe = False
-        trace_event(
-            "service.crash", job=ticket.request.id, detail=description,
-            breaker=breaker.state,
-        )
-        if self._draining or ticket.attempt > self.config.retries:
-            self._degrade(ticket, description)
-            return
-        delay = min(
-            self.config.backoff_cap,
-            self.config.backoff_base * (2 ** (ticket.attempt - 1)),
-        )
-        # Half-to-full jitter: a whole fleet of shards whose workers
-        # were OOM-killed by the same machine-wide event must not all
-        # re-dispatch on the same exponential schedule.
-        delay *= 0.5 + 0.5 * random.random()
-        ticket.attempt += 1
-        ticket.ready_at = now + delay
-        self.queue.requeue(ticket)
-
-    def _worker_message(self, worker, message: dict) -> None:
-        kind = message.get("type")
-        ticket = worker.current
-        if (
-            kind == "started"
-            or ticket is None
-            or message.get("job") != ticket.request.id
-        ):
-            return
-        if kind == "result":
-            self.pool.release(worker)
-            self.breakers.get(ticket.key).record_success()
-            if isinstance(message.get("result"), dict) and message["result"].get(
-                "certified"
-            ):
-                self.metrics.inc("witness.replayed")
-            self._complete(ticket, message["result"])
-        elif kind == "error":
-            # Deterministic in-worker failure: the request's fault, not
-            # the protocol's — report it, leave the breaker alone (the
-            # worker demonstrably survived).
-            self.pool.release(worker)
-            self.breakers.get(ticket.key).record_success()
-            error = message.get("error", "worker error")
-            if error.startswith("CertificationError"):
-                # A violation whose witness would not replay must never
-                # surface as a clean answer *or* a plain error: retry it
-                # like a crash, degrading to a retryable fault verdict
-                # when the budget runs out.
-                self.metrics.inc("witness.failed")
-                ticket.events.append(f"attempt {ticket.attempt}: {error}")
-                if self._draining or ticket.attempt > self.config.retries:
-                    self._degrade(ticket, error)
-                else:
-                    delay = min(
-                        self.config.backoff_cap,
-                        self.config.backoff_base * (2 ** (ticket.attempt - 1)),
-                    ) * (0.5 + 0.5 * random.random())
-                    ticket.attempt += 1
-                    ticket.ready_at = time.monotonic() + delay
-                    self.queue.requeue(ticket)
-                return
-            self.metrics.inc("service.errors")
-            self._journal({
-                "type": "error", "job": ticket.request.id,
-                "protocol": ticket.key, "error": error,
-            })
-            self._answer(
-                ticket,
-                protocol.response(ticket.request.id, protocol.ERROR, error=error),
-            )
+            self.lifecycle.dispatch(worker, ticket, deadline, now)
 
     # -- drain & shutdown ----------------------------------------------
 
@@ -923,21 +820,9 @@ class Server:
             queued=self.queue.depth,
             inflight=len(self.pool.busy()),
         )
-        for listener in self._listeners:
-            try:
-                self._selector.unregister(listener)
-            except (KeyError, ValueError, OSError):
-                pass
-            try:
-                listener.close()
-            except OSError:
-                pass
-        self._listeners.clear()
-        if self.config.socket_path is not None:
-            try:
-                os.unlink(self.config.socket_path)
-            except OSError:
-                pass
+        self._close_listeners()
+        # A draining server gives up on failed attempts at once.
+        self.lifecycle.retries = 0
         # Shed everything queued: journaled as "shed" records, which a
         # batch --resume over the same journal re-runs.
         for ticket in self.queue.drain():
@@ -966,17 +851,7 @@ class Server:
             self.store.close()
         for client in list(self._clients):
             self._close(client, after_flush=True)
-        for listener in self._listeners:
-            try:
-                listener.close()
-            except OSError:
-                pass
-        self._listeners.clear()
-        if self._bound and self.config.socket_path is not None:
-            try:
-                os.unlink(self.config.socket_path)
-            except OSError:
-                pass
+        self._close_listeners()
         self._selector.close()
         self._wakeup.close()
         self._waker.close()
@@ -984,25 +859,3 @@ class Server:
         if ambient is not None:
             ambient.absorb(self.metrics)
 
-
-def serve(config: ServerConfig) -> int:
-    """Blocking entry point used by the CLI: bind, install drain-on-
-    SIGINT/SIGTERM handlers, serve until drained.  Returns the exit
-    status (``0`` after a clean drain)."""
-    from repro.runtime.lifecycle import drain_signals
-
-    server = Server(config)
-    server.bind()
-    with drain_signals(on_signal=lambda signum: server.request_drain()) as drain:
-        if drain.is_set():  # signal raced bind
-            server.request_drain()
-
-        # Mirror the externally-installed event into the server so a
-        # programmatic set (tests) also drains.
-        def _watch_drain() -> None:
-            drain.wait()
-            server.request_drain()
-
-        watcher = threading.Thread(target=_watch_drain, daemon=True)
-        watcher.start()
-        return server.serve_forever()

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.core.errors import ReproError
+from repro.runtime.supervisor import backoff_delay
 
 
 class ShardError(ReproError):
@@ -330,26 +331,6 @@ def local_shard_argv(
     if allow_fault_injection:
         argv.append("--allow-fault-injection")
     return argv
-
-
-def backoff_delay(
-    base: float, cap: float, streak: int, rng: Optional[Any] = None
-) -> float:
-    """Respawn backoff for a shard on its ``streak``-th consecutive
-    failure (streak 1 = first failure).
-
-    Without ``rng`` this is plain capped exponential — deterministic,
-    for callers that need exact pacing.  With ``rng`` (a ``random()``
-    -style callable) it is *full jitter* over the same envelope,
-    ``uniform(0, min(cap, base * 2**(streak-1)))``: a machine-wide blip
-    that kills every shard at once must not produce N respawns (and N
-    health-probe bursts) marching in lockstep against whatever shared
-    resource just recovered.
-    """
-    ceiling = min(cap, base * (2 ** max(0, streak - 1)))
-    if rng is None:
-        return ceiling
-    return rng() * ceiling
 
 
 __all__ = [

@@ -2,7 +2,7 @@
 
 The acceptance bar for the resilient runtime: with faults injected into
 the engine's hot primitives (``successors()``, canonicalization), every
-verdict — may-testing, simulation, bisimulation, must-testing, the trace
+verdict — may-testing, simulation, the trace
 properties, secrecy, the environment semantics — reports itself as
 qualified/inconclusive.  Nothing raises, and nothing silently claims
 exactness it does not have.
@@ -18,8 +18,6 @@ from repro.analysis.environment import env_explore, env_secrecy
 from repro.analysis.properties import authentication, freshness
 from repro.analysis.secrecy import keeps_secret
 from repro.core.terms import Name
-from repro.equivalence.bisimulation import weakly_bisimilar
-from repro.equivalence.musttesting import must_pass_system
 from repro.equivalence.simulation import weakly_simulated
 from repro.equivalence.testing import may_preorder, passes, passes_result
 from repro.analysis.attacks import securely_implements, standard_testers
@@ -158,22 +156,6 @@ class TestVerdictsDegradeGracefully:
             result = weakly_simulated(left, right, SMALL_BUDGET)
         assert result.truncated
         assert FAULT in result.exhaustion.reasons
-
-    def test_weakly_bisimilar_qualified(self):
-        left = compose(spec_single())
-        with inject_faults(EVERY_OTHER):
-            result = weakly_bisimilar(left, left, SMALL_BUDGET)
-        assert result.truncated
-        assert FAULT in result.exhaustion.reasons
-
-    def test_must_pass_qualified(self):
-        from repro.semantics.actions import output_barb
-
-        system = compose(spec_multi())
-        with inject_faults(EVERY_OTHER):
-            verdict = must_pass_system(system, output_barb(OBSERVE), SMALL_BUDGET)
-        assert not verdict.exhaustive
-        assert FAULT in verdict.exhaustion.reasons
 
     def test_authentication_qualified(self):
         with inject_faults(EVERY_OTHER):

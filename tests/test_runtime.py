@@ -467,13 +467,14 @@ class TestEscalation:
         assert set(loaded.graph.states) == set(graph.states)
 
     def test_generic_escalate_on_a_verdict(self):
-        from repro.equivalence.musttesting import must_pass_system
+        from repro.analysis.attacks import standard_testers
+        from repro.equivalence.testing import may_preorder
         from repro.protocols.paper import OBSERVE
-        from repro.semantics.actions import output_barb
 
-        system = compose(spec_multi())
+        config = spec_multi()
+        tests = standard_testers(config, OBSERVE, roles=("!A",))
         verdict, report = escalate(
-            lambda b: must_pass_system(system, output_barb(OBSERVE), b),
+            lambda b: may_preorder(config, config, tests, b),
             Budget(max_states=10, max_depth=4),
             EscalationPolicy(max_attempts=4),
         )
