@@ -74,17 +74,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.core.errors import ReproError
-from repro.runtime.deadline import Deadline, RunControl, governed
-from repro.semantics.diagnostics import statistics, to_dot
-from repro.semantics.lts import Budget, explore, resume_exploration
-from repro.semantics.system import System, instantiate
-from repro.semantics.transitions import successors
-from repro.syntax.parser import parse_process
-from repro.syntax.pretty import render_process
-from repro.syntax.sysfile import load_system_file
+
+# The top level stays light: spawned suite/serve/cluster workers
+# re-import this module as ``__mp_main__``, so each handler imports what
+# it runs (see docs/internals.md, "Import layering").
+if TYPE_CHECKING:
+    from repro.runtime.deadline import RunControl
+    from repro.semantics.system import System
 
 
 def _read_source(args: argparse.Namespace) -> str:
@@ -197,6 +196,8 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _control(args: argparse.Namespace, on_checkpoint=None) -> Optional[RunControl]:
+    from repro.runtime.deadline import Deadline, RunControl
+
     deadline = getattr(args, "deadline", None)
     every = getattr(args, "checkpoint_every", None) if on_checkpoint else None
     if deadline is None and every is None:
@@ -209,11 +210,15 @@ def _control(args: argparse.Namespace, on_checkpoint=None) -> Optional[RunContro
 
 
 def _load_system(args: argparse.Namespace) -> System:
+    from repro.semantics.system import instantiate
+    from repro.syntax.parser import parse_process
+
     return instantiate(parse_process(_read_source(args)))
 
 
 def _show_tree(system: System, out) -> None:
     from repro.core.addresses import location_str
+    from repro.syntax.pretty import render_process
 
     print("tree of sequential processes:", file=out)
     for loc, leaf in system.leaves():
@@ -221,6 +226,10 @@ def _show_tree(system: System, out) -> None:
 
 
 def cmd_parse(args: argparse.Namespace, out) -> int:
+    from repro.semantics.system import instantiate
+    from repro.syntax.parser import parse_process
+    from repro.syntax.pretty import render_process
+
     proc = parse_process(_read_source(args))
     print(render_process(proc, unicode=args.unicode), file=out)
     if args.tree:
@@ -229,6 +238,8 @@ def cmd_parse(args: argparse.Namespace, out) -> int:
 
 
 def cmd_run(args: argparse.Namespace, out) -> int:
+    from repro.semantics.transitions import successors
+
     system = _load_system(args)
     _show_tree(system, out)
     for step_no in range(1, args.steps + 1):
@@ -250,6 +261,8 @@ def cmd_run(args: argparse.Namespace, out) -> int:
 def cmd_explore(args: argparse.Namespace, out) -> int:
     from repro.runtime.checkpoint import Checkpoint
     from repro.runtime.escalation import explore_escalating
+    from repro.semantics.diagnostics import statistics, to_dot
+    from repro.semantics.lts import Budget, explore, resume_exploration
 
     budget = Budget(max_states=args.max_states, max_depth=args.max_depth)
     if args.checkpoint_every is not None and args.checkpoint is None:
@@ -299,7 +312,10 @@ def cmd_analyze(args: argparse.Namespace, out) -> int:
         env_freshness,
         env_secrecy,
     )
+    from repro.runtime.deadline import governed
     from repro.runtime.escalation import escalate
+    from repro.semantics.lts import Budget
+    from repro.syntax.sysfile import load_system_file
 
     sysfile = load_system_file(args.sysfile)
     budget = Budget(max_states=args.max_states, max_depth=args.max_depth)
@@ -430,12 +446,15 @@ def cmd_stats(args: argparse.Namespace, out) -> int:
 def cmd_check(args: argparse.Namespace, out) -> int:
     from repro.analysis.attacks import securely_implements
     from repro.analysis.intruder import standard_attackers
+    from repro.runtime.deadline import governed
+    from repro.runtime.escalation import escalate
+    from repro.semantics.lts import Budget
+    from repro.syntax.sysfile import load_system_file
 
     impl = load_system_file(args.impl)
     spec = load_system_file(args.spec)
     if set(impl.configuration.private) != set(spec.configuration.private):
         raise ReproError("the two system files declare different channels")
-    from repro.runtime.escalation import escalate
 
     budget = Budget(max_states=args.max_states, max_depth=args.max_depth)
     roles = [label for _, _, label in impl.configuration.subroles]

@@ -22,53 +22,17 @@ path carries no per-state indirection.
 
 from __future__ import annotations
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    Metrics,
-    collecting,
-    current_metrics,
-)
-from repro.obs.profile import profile, render_profile
-from repro.obs.stats import (
-    SuiteStats,
-    job_stats_block,
-    peak_rss_mb,
-    render_job_table,
-)
-from repro.obs.trace import (
-    TraceError,
-    TraceEvent,
-    Tracer,
-    current_tracer,
-    read_trace,
-    trace_counter,
-    trace_event,
-    trace_span,
-    tracing,
-)
+from repro.core.lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Metrics",
-    "SuiteStats",
-    "TraceError",
-    "TraceEvent",
-    "Tracer",
-    "collecting",
+# Eager because the function shares its submodule's name (see
+# repro.core.lazy); the module defers cProfile/pstats to first use.
+from repro.obs.profile import profile, render_profile
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.obs.metrics": "Counter Gauge Histogram Metrics collecting "
     "current_metrics",
-    "current_tracer",
-    "job_stats_block",
-    "peak_rss_mb",
-    "profile",
-    "read_trace",
-    "render_job_table",
-    "render_profile",
-    "trace_counter",
-    "trace_event",
-    "trace_span",
-    "tracing",
-]
+    "repro.obs.stats": "SuiteStats job_stats_block peak_rss_mb render_job_table",
+    "repro.obs.trace": "TraceError TraceEvent Tracer current_tracer read_trace "
+    "trace_counter trace_event trace_span tracing",
+})
+__all__ += ["profile", "render_profile"]

@@ -16,12 +16,12 @@ an arbitrary block::
 
 from __future__ import annotations
 
-import cProfile
-import io
-import pstats
 import sys
 from contextlib import contextmanager
-from typing import Iterator, Optional, TextIO
+from typing import TYPE_CHECKING, Iterator, Optional, TextIO
+
+if TYPE_CHECKING:
+    import cProfile
 
 #: Rows shown in the human-readable rendering.
 TOP_N = 25
@@ -29,6 +29,11 @@ TOP_N = 25
 
 def render_profile(profiler: cProfile.Profile, top_n: int = TOP_N) -> str:
     """The profile as a cumulative-time table, highest first."""
+    # cProfile/pstats load on first use: the package imports this
+    # module eagerly, and most runs never profile.
+    import io
+    import pstats
+
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
     stats.sort_stats("cumulative").print_stats(top_n)
@@ -47,6 +52,8 @@ def profile(
     table), or ``None``/``"-"`` (table to ``stream``, default stdout).
     The profiler object is yielded for callers that want the raw stats.
     """
+    import cProfile
+
     profiler = cProfile.Profile()
     profiler.enable()
     try:

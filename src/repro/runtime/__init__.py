@@ -21,77 +21,29 @@ survive hostile inputs:
 * :mod:`repro.runtime.supervisor` — the supervised parallel suite
   runner: process-isolated workers with crash/OOM/hang recovery.
 
-Import note: the semantics layer imports the dependency-free modules
-(``exhaustion``, ``deadline``, ``faults``), while ``checkpoint`` and
-``escalation`` import the semantics layer.  To keep that acyclic this
-package eagerly exposes only the former and loads the latter lazily via
-module ``__getattr__``.
+Import note: the package is a lazy name table (see
+:mod:`repro.core.lazy`): a module loads when one of its names is first
+used.  Only ``exhaustion``, ``deadline`` and ``faults`` load with the
+package, since the semantics layer imports them anyway; ``checkpoint``
+and ``escalation`` import the semantics layer, so serving them on
+demand also keeps the imports acyclic.
 """
 
 from __future__ import annotations
 
-from repro.runtime.deadline import (
-    CancelToken,
-    Deadline,
-    RunControl,
-    current_control,
-    governed,
-    resolve_control,
-)
-from repro.runtime.exhaustion import Exhaustion
-from repro.runtime.faults import FaultError, FaultInjector, FaultPlan, inject_faults
+from repro.core.lazy import lazy_exports
+from repro.runtime import deadline, exhaustion, faults  # noqa: F401 - see the import note
 
-#: Names served lazily from the heavier modules (see module docstring).
-_LAZY = {
-    "Checkpoint": "repro.runtime.checkpoint",
-    "CheckpointError": "repro.runtime.checkpoint",
-    "load_checkpoint": "repro.runtime.checkpoint",
-    "Attempt": "repro.runtime.escalation",
-    "EscalationPolicy": "repro.runtime.escalation",
-    "EscalationReport": "repro.runtime.escalation",
-    "escalate": "repro.runtime.escalation",
-    "explore_escalating": "repro.runtime.escalation",
-    "estimate_graph_memory_mb": "repro.runtime.escalation",
-    "Journal": "repro.runtime.journal",
-    "JournalError": "repro.runtime.journal",
-    "read_journal": "repro.runtime.journal",
-    "journaled_results": "repro.runtime.journal",
-    "Job": "repro.runtime.worker",
-    "JobError": "repro.runtime.worker",
-    "run_job": "repro.runtime.worker",
-    "JobOutcome": "repro.runtime.supervisor",
-    "SuiteReport": "repro.runtime.supervisor",
-    "SupervisorError": "repro.runtime.supervisor",
-    "run_suite": "repro.runtime.supervisor",
-    "zoo_jobs": "repro.runtime.supervisor",
-}
-
-__all__ = [
-    "CancelToken",
-    "Deadline",
-    "Exhaustion",
-    "FaultError",
-    "FaultInjector",
-    "FaultPlan",
-    "RunControl",
-    "current_control",
-    "governed",
-    "inject_faults",
-    "resolve_control",
-    *sorted(_LAZY),
-]
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(module_name)
-    # Cache every lazy name the module provides so subsequent lookups
-    # skip this hook.
-    for lazy_name, lazy_module in _LAZY.items():
-        if lazy_module == module_name:
-            globals()[lazy_name] = getattr(module, lazy_name)
-    return globals()[name]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.runtime.deadline": "CancelToken Deadline RunControl current_control "
+    "governed resolve_control",
+    "repro.runtime.exhaustion": "Exhaustion",
+    "repro.runtime.faults": "FaultError FaultInjector FaultPlan inject_faults",
+    "repro.runtime.checkpoint": "Checkpoint CheckpointError load_checkpoint",
+    "repro.runtime.escalation": "Attempt EscalationPolicy EscalationReport "
+    "escalate explore_escalating estimate_graph_memory_mb",
+    "repro.runtime.journal": "Journal JournalError read_journal journaled_results",
+    "repro.runtime.worker": "Job JobError run_job",
+    "repro.runtime.supervisor": "JobOutcome SuiteReport SupervisorError "
+    "run_suite zoo_jobs",
+})

@@ -115,6 +115,27 @@ class JobOutcome:
     error: Optional[str] = None
     events: tuple[str, ...] = ()
 
+    @classmethod
+    def of(
+        cls, attempt: Attempt, status: str, result: Optional[dict],
+        error: Optional[str] = None, now: float = 0.0,
+    ) -> JobOutcome:
+        """The outcome of *attempt*, decided at *now*."""
+        return cls(
+            job=attempt.job, status=status, attempts=attempt.attempt,
+            elapsed=attempt.elapsed(now), result=result, error=error,
+            events=tuple(attempt.events),
+        )
+
+    def record(self) -> dict:
+        """The journal result-record fields of this outcome, without
+        ``type`` (:func:`result_record` adds it)."""
+        return {
+            "job": self.job.id, "status": self.status, "attempts": self.attempts,
+            "elapsed": round(self.elapsed, 4), "result": self.result,
+            "error": self.error, "events": list(self.events),
+        }
+
     @property
     def violated(self) -> bool:
         """True when the verdict reports a broken property/attack."""
@@ -166,18 +187,7 @@ class SuiteReport:
 
     def records(self) -> list[dict]:
         """The outcomes as journal-shaped result records."""
-        return [
-            {
-                "job": o.job.id,
-                "status": o.status,
-                "attempts": o.attempts,
-                "elapsed": round(o.elapsed, 4),
-                "result": o.result,
-                "error": o.error,
-                "events": list(o.events),
-            }
-            for o in self.outcomes
-        ]
+        return [o.record() for o in self.outcomes]
 
     def stats(self) -> SuiteStats:
         """Aggregate per-job stat blocks into one :class:`SuiteStats`."""
@@ -640,11 +650,8 @@ def result_record(
 ) -> dict:
     """The journal ``result`` record of a decided job (the one writer
     behind ``suite`` and ``serve`` journals)."""
-    record = {
-        "type": "result", "job": attempt.job.id, "status": status,
-        "attempts": attempt.attempt, "elapsed": round(attempt.elapsed(now), 4),
-        "result": result, "error": error, "events": list(attempt.events),
-    }
+    outcome = JobOutcome.of(attempt, status, result, error, now)
+    record = {"type": "result", **outcome.record()}
     if attempt.protocol is not None:
         record["protocol"] = attempt.protocol
     return record
@@ -953,15 +960,7 @@ def run_suite(
     done: dict[str, JobOutcome] = {}
 
     def decide(attempt: Attempt, status: str, result, error=None, now=0.0) -> None:
-        outcome = JobOutcome(
-            job=attempt.job,
-            status=status,
-            attempts=attempt.attempt,
-            elapsed=attempt.elapsed(now),
-            result=result,
-            error=error,
-            events=tuple(attempt.events),
-        )
+        outcome = JobOutcome.of(attempt, status, result, error, now)
         done[outcome.job.id] = outcome
         trace_event(
             "suite.outcome",

@@ -28,63 +28,19 @@ Layers, bottom up:
   failover (see ``docs/cluster.md``).
 """
 
-from repro.service.admission import AdmissionQueue
-from repro.service.breaker import BreakerBoard, CircuitBreaker
-from repro.service.client import ServiceClient, ServiceUnavailable, parse_address
-from repro.service.framing import (
-    MAX_FRAME,
-    FrameDecoder,
-    FramingError,
-    encode_frame,
-    recv_frame,
-    send_frame,
-)
-from repro.service.protocol import (
-    PROTOCOL_VERSION,
-    ProtocolError,
-    Request,
-    parse_request,
-)
-from repro.service.health import HealthMonitor
-from repro.service.router import ClusterError, Router, RouterConfig
-from repro.service.server import Server, ServerConfig, ServiceError
-from repro.service.shards import HashRing, LocalShard, ShardSpec
-from repro.service.store import (
-    StoreError,
-    VerdictStore,
-    storable_result,
-    store_key,
-)
+from repro.core.lazy import lazy_exports
 
-__all__ = [
-    "AdmissionQueue",
-    "BreakerBoard",
-    "CircuitBreaker",
-    "ClusterError",
-    "FrameDecoder",
-    "FramingError",
-    "HashRing",
-    "HealthMonitor",
-    "LocalShard",
-    "MAX_FRAME",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "Request",
-    "Router",
-    "RouterConfig",
-    "Server",
-    "ServerConfig",
-    "ShardSpec",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceUnavailable",
-    "StoreError",
-    "VerdictStore",
-    "storable_result",
-    "store_key",
-    "encode_frame",
-    "parse_address",
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.service.admission": "AdmissionQueue",
+    "repro.service.breaker": "BreakerBoard CircuitBreaker",
+    "repro.service.client": "ServiceClient ServiceUnavailable parse_address",
+    "repro.service.framing": "MAX_FRAME FrameDecoder FramingError encode_frame "
+    "recv_frame send_frame",
+    "repro.service.protocol": "PROTOCOL_VERSION ProtocolError Request "
     "parse_request",
-    "recv_frame",
-    "send_frame",
-]
+    "repro.service.health": "HealthMonitor",
+    "repro.service.router": "ClusterError Router RouterConfig",
+    "repro.service.server": "Server ServerConfig ServiceError",
+    "repro.service.shards": "HashRing LocalShard ShardSpec",
+    "repro.service.store": "StoreError VerdictStore storable_result store_key",
+})

@@ -391,6 +391,27 @@ class TestResultRecords:
             }
         assert serve_record["protocol"] == "zoo:yahalom"
 
+    @pytest.mark.parametrize(
+        "replies",
+        [
+            (("exit", DEATH), ("result", VERDICT)),
+            (("exit", DEATH),),
+            (("error", CERT),),
+        ],
+        ids=["ok-after-crash", "crash-loop", "certification-failure"],
+    )
+    def test_suite_report_records_are_the_journal_records(
+        self, monkeypatch, tmp_path, replies
+    ):
+        report, records, _, _ = run_suite_on(
+            monkeypatch, tmp_path, scripted(*replies), retries=1, **BACKOFF
+        )
+        journaled = [
+            {k: v for k, v in record.items() if k != "type"}
+            for record in results(records)
+        ]
+        assert report.records() == journaled
+
     def test_serve_circuit_open_record(self, serve):
         harness = serve(
             scripted(("exit", DEATH)), retries=0, breaker_threshold=1, **BACKOFF
