@@ -44,6 +44,14 @@ from repro.core.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
+
+def engine_version() -> str:
+    """The engine stamp verdict-store records and witnesses carry:
+    bumping ``__version__`` invalidates every stored verdict and every
+    saved witness at once."""
+    return __version__
+
+
 # Every public name, served from its defining module on first access
 # (see repro.core.lazy): ``import repro.semantics.lts`` loads the
 # engine without the analysis, equivalence, protocol and service layers.

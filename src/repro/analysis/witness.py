@@ -44,6 +44,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
+from repro import engine_version
 from repro.core.addresses import Location, is_prefix
 from repro.core.errors import ReproError
 from repro.core.terms import (
@@ -84,13 +85,6 @@ WITNESS_VERSION = 1
 
 class WitnessError(ReproError):
     """A witness is structurally malformed or fails validation."""
-
-
-def engine_version() -> str:
-    """The engine stamp a witness carries (matches the verdict store's)."""
-    import repro
-
-    return repro.__version__
 
 
 # ----------------------------------------------------------------------

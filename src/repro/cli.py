@@ -29,9 +29,7 @@ Observability (see :mod:`repro.obs`): ``explore``, ``analyze``,
 also carries per-job and aggregate :class:`~repro.obs.stats.SuiteStats`
 blocks) and ``--profile [FILE]`` (cProfile the run; ``.prof`` files
 take the binary dump, anything else a text table).  The same commands
-accept ``--no-state-cache`` to bypass the hash-consed canonical state
-cache (see ``docs/performance.md``); verdicts and graphs are identical
-either way.  ``--reduce {none,full}`` switches symmetry merging of
+accept ``--reduce {none,full}``, which switches symmetry merging of
 replicated sessions off or on (default ``full``); verdicts are
 identical in both modes, only the number of explored states changes.
 
@@ -74,7 +72,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from contextlib import ExitStack, contextmanager
+from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence
 
 from repro.core.errors import ReproError
 
@@ -154,12 +153,6 @@ def _add_certify_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-state-cache",
-        action="store_true",
-        help="disable the hash-consed canonical state cache (escape "
-        "hatch; results are byte-identical either way, just slower)",
-    )
     parser.add_argument(
         "--reduce",
         choices=("none", "full"),
@@ -1554,74 +1547,50 @@ def _emit_stats(args: argparse.Namespace, metrics, out) -> None:
     print(f"stats written to {args.stats}", file=out)
 
 
+@contextmanager
+def _exported(name: str, value: str) -> Iterator[None]:
+    """Set environment variable ``name`` to ``value`` for the block.
+
+    The variable is how a choice made by a flag reaches spawned
+    suite/serve/cluster workers (and, for certify, ``run_job`` in this
+    interpreter too).  The previous value is restored afterwards
+    because tests call :func:`main` repeatedly in one interpreter.
+    """
+    import os
+
+    previous = os.environ.get(name)
+    os.environ[name] = value
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = previous
+
+
 def _dispatch(args: argparse.Namespace, out) -> int:
     """Run the subcommand handler inside the requested observability
     contexts (``--trace`` / ``--stats`` / ``--profile``), honouring
-    ``--no-state-cache`` and ``--reduce``."""
-    reduce_mode = getattr(args, "reduce", None)
-    if reduce_mode is not None:
-        import os
+    ``--reduce`` and ``--certify``."""
+    with ExitStack() as stack:
+        reduce_mode = getattr(args, "reduce", None)
+        if reduce_mode is not None:
+            from repro.semantics import canonical, reduction
 
-        from repro.semantics import canonical, reduction
+            # The in-process switch covers this interpreter, the
+            # exported variable the spawned workers.
+            stack.enter_context(_exported(canonical.REDUCTION_ENV, reduce_mode))
+            previous_mode = reduction.set_reduction_mode(reduce_mode)
+            stack.callback(reduction.set_reduction_mode, previous_mode)
+        if getattr(args, "certify", False):
+            from repro.runtime.worker import CERTIFY_ENV
 
-        # Same double bookkeeping as --no-state-cache below: the env
-        # var makes spawned suite/serve/cluster workers inherit the
-        # mode, the in-process switch covers this interpreter, and both
-        # are restored because tests call main() repeatedly.
-        previous_mode = reduction.set_reduction_mode(reduce_mode)
-        previous_env = os.environ.get(canonical.REDUCTION_ENV)
-        os.environ[canonical.REDUCTION_ENV] = reduce_mode
-        try:
-            args = argparse.Namespace(**{**vars(args), "reduce": None})
-            return _dispatch(args, out)
-        finally:
-            reduction.set_reduction_mode(previous_mode)
-            if previous_env is None:
-                os.environ.pop(canonical.REDUCTION_ENV, None)
-            else:
-                os.environ[canonical.REDUCTION_ENV] = previous_env
-    if getattr(args, "certify", False):
-        import os
-
-        from repro.runtime.worker import CERTIFY_ENV
-
-        # The env var is the whole mechanism: run_job consults it in
-        # this interpreter, spawned suite/serve workers inherit it,
-        # cluster shards get it through their serve subprocesses, and
-        # cmd_check's in-process certify path reads it back via
-        # certify_enabled().  Restored afterwards because tests call
-        # main() repeatedly in one interpreter.
-        previous_env = os.environ.get(CERTIFY_ENV)
-        os.environ[CERTIFY_ENV] = "1"
-        try:
-            args = argparse.Namespace(**{**vars(args), "certify": False})
-            return _dispatch(args, out)
-        finally:
-            if previous_env is None:
-                os.environ.pop(CERTIFY_ENV, None)
-            else:
-                os.environ[CERTIFY_ENV] = previous_env
-    if getattr(args, "no_state_cache", False):
-        import os
-
-        from repro.semantics import canonical
-
-        # The environment variable rides across the spawn boundary so
-        # suite worker processes make the same choice; both it and the
-        # in-process switch are restored afterwards because tests call
-        # main() repeatedly in one interpreter.
-        was_enabled = canonical.set_cache_enabled(False)
-        previous_env = os.environ.get(canonical.DISABLE_ENV)
-        os.environ[canonical.DISABLE_ENV] = "1"
-        try:
-            return _dispatch_observed(args, out)
-        finally:
-            canonical.set_cache_enabled(was_enabled)
-            if previous_env is None:
-                os.environ.pop(canonical.DISABLE_ENV, None)
-            else:
-                os.environ[canonical.DISABLE_ENV] = previous_env
-    return _dispatch_observed(args, out)
+            # cmd_check's in-process certify path and run_job read the
+            # variable back through certify_enabled(); cluster shards
+            # get it through their serve subprocesses.
+            stack.enter_context(_exported(CERTIFY_ENV, "1"))
+        return _dispatch_observed(args, out)
 
 
 def _dispatch_observed(args: argparse.Namespace, out) -> int:
@@ -1630,8 +1599,6 @@ def _dispatch_observed(args: argparse.Namespace, out) -> int:
     profile_to = getattr(args, "profile", None)
     if trace_to is None and stats_to is None and profile_to is None:
         return args.handler(args, out)
-
-    from contextlib import ExitStack
 
     from repro.obs import Tracer, collecting, profile, tracing
 

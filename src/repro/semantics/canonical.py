@@ -1,4 +1,4 @@
-"""Cached canonical state keys and successor memoization.
+"""Cached canonical state keys over a hash-consed state arena.
 
 This module is the hot-path replacement for rendering every state
 through :func:`repro.syntax.pretty.canonical_process` on every visit.
@@ -25,43 +25,32 @@ them incrementally:
    subtree, so flattening a new state splices the cached lists of
    everything below the rewritten spine with C-level copies — only
    identity numbering is ever re-done per state (it is global, so it
-   cannot be cached);
-4. a bounded LRU **successor cache** keyed by ``(interned root,
-   private, roles, unfold-sharing mode)`` lets repeated expansions of
-   the same state — escalation re-explores from scratch, resume and
-   repeated analyses revisit the same systems — skip the transition
-   enumeration entirely.  Identity keying means a hit returns
-   transitions whose uids match the querying state exactly.
+   cannot be cached).
 
 Invalidation rules (see ``docs/performance.md``):
 
 * intern-table keys embed children by ``id()``; the table holds strong
   references, so ids stay valid until :func:`clear_caches` drops the
-  table, both memos and the successor cache **together** — partial
-  eviction of the table or the fragment/key memos is never allowed;
-* the successor cache may evict individually (its entries keep their
-  interned root alive, so a recycled ``id`` can never alias a live
-  key);
-* the whole layer is bypassed when disabled — by the
-  ``REPRO_NO_STATE_CACHE`` environment variable (read at import, so
-  spawned workers inherit the choice), :func:`set_cache_enabled`, or
-  the CLI's ``--no-state-cache`` — in which case ``state_key`` falls
-  back to :func:`canonical_process` verbatim.
+  table and every memo **together** — partial eviction of the table
+  or the fragment/key memos is never allowed;
+* the whole layer is bypassed when disabled by
+  :func:`set_cache_enabled` — in which case ``state_key`` falls back
+  to :func:`canonical_process` verbatim and successors take the
+  reference path.
 
-Cache effectiveness is observable through ``canonical.hit`` /
-``canonical.miss`` (and ``successor.hit`` / ``successor.miss``)
-counters, the successor path's leaf and redex memos through
-``successor.leaf_hit`` / ``successor.leaf_miss`` /
-``successor.redex_hit`` / ``successor.redex_miss``, symmetry merging
-through ``reduction.sym_merge``, all
-published to :mod:`repro.obs.metrics` by the exploration loops; see
-:func:`metrics_snapshot` / :func:`publish_cache_metrics`.
+Cache effectiveness is observable through the ``canonical.hit`` /
+``canonical.miss`` counters, the successor path's leaf and redex memos
+(:mod:`repro.semantics.transitions`) through ``successor.leaf_hit`` /
+``successor.leaf_miss`` / ``successor.redex_hit`` /
+``successor.redex_miss``, and symmetry merging through
+``reduction.sym_merge``, all published to :mod:`repro.obs.metrics` by
+the exploration loops; see :func:`metrics_snapshot` /
+:func:`publish_cache_metrics`.
 """
 
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
 
@@ -95,32 +84,20 @@ from repro.core.terms import (
 )
 from repro.syntax.pretty import canonical_process
 
-#: Environment switch honoured at import time so that spawn-context
-#: worker processes (which re-import this module) follow the parent's
-#: ``--no-state-cache`` choice.
-DISABLE_ENV = "REPRO_NO_STATE_CACHE"
-
 #: Reduction-mode environment switch (shared with
 #: :mod:`repro.semantics.reduction`, which lives above this module in
 #: the import graph): ``none`` turns symmetry merging off, anything else
 #: leaves the default ``full``.  Read at import time so spawn-context
-#: workers inherit the parent's choice, exactly like
-#: ``REPRO_NO_STATE_CACHE``.
+#: workers inherit the parent's choice.
 REDUCTION_ENV = "REPRO_REDUCTION"
 
 #: Full-clear threshold for the intern table (node count).  Clearing is
 #: all-or-nothing by design — see the module docstring.
 MAX_INTERNED_NODES = 2_000_000
 
-#: Entry cap for the successor LRU.
-SUCCESSOR_CACHE_SIZE = 8_192
-
-
-def _env_disabled() -> bool:
-    return os.environ.get(DISABLE_ENV, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-_enabled: bool = not _env_disabled()
+#: Is the state cache active?  Only :func:`set_cache_enabled` turns it
+#: off: the uncached reference path is for parity tests and replay.
+_enabled: bool = True
 
 #: Is symmetry canonicalization active?  The one record of the
 #: reduction mode: owned here (rather than in
@@ -130,13 +107,11 @@ _symmetry: bool = os.environ.get(REDUCTION_ENV, "").strip().lower() != "none"
 
 #: May a replication unfold reuse the copy its site produced before
 #: (:func:`repro.semantics.transitions._unfold`)?  Off inside
-#: :func:`separate_unfolds`; part of the successor-cache key, so the
-#: two modes never serve each other's transitions.
+#: :func:`separate_unfolds`.
 _share_unfolds: bool = True
 
 _table = InternTable()
 _keys: dict[int, str] = {}  # id(interned root) -> canonical key
-_successors: "OrderedDict[tuple, tuple]" = OrderedDict()
 _sym_keys: dict[tuple, str] = {}  # (id(root), roles) -> symmetric key
 
 #: Hooks run by :func:`clear_caches` so sibling modules whose memos key
@@ -146,8 +121,6 @@ _clear_hooks: list[Callable[[], None]] = []
 
 _canonical_hits = 0
 _canonical_misses = 0
-_successor_hits = 0
-_successor_misses = 0
 _sym_reorders = 0
 #: Leaf hit, leaf miss, redex hit, redex miss of the memos in
 #: :mod:`repro.semantics.transitions` (see :func:`note_successor_memos`).
@@ -157,11 +130,6 @@ _memo_counts = [0, 0, 0, 0]
 # ----------------------------------------------------------------------
 # Enable / disable / clear
 # ----------------------------------------------------------------------
-
-
-def cache_enabled() -> bool:
-    """Is the hash-consed state cache active?"""
-    return _enabled
 
 
 def set_cache_enabled(enabled: bool) -> bool:
@@ -187,8 +155,8 @@ def set_symmetry_enabled(enabled: bool) -> bool:
     """Switch symmetry canonicalization; returns the previous setting.
 
     Flipping the switch drops every cache: plain and symmetric keys for
-    the same tree differ, and memoized successor targets carry keys
-    computed under the old setting, so nothing may be served across.
+    the same tree differ, and memoized targets carry keys computed
+    under the old setting, so nothing may be served across.
     """
     global _symmetry
     previous = _symmetry
@@ -238,7 +206,7 @@ def register_clear_hook(hook: Callable[[], None]) -> None:
 
 
 def clear_caches() -> None:
-    """Drop the intern table, every memo and the successor cache.
+    """Drop the intern table and every memo.
 
     Always clears everything together: the memos key by ``id`` of
     objects the table keeps alive, so none of them may outlive it.
@@ -247,7 +215,6 @@ def clear_caches() -> None:
     _table.clear()
     _cache.clear()
     _keys.clear()
-    _successors.clear()
     _sym_keys.clear()
     for hook in _clear_hooks:
         hook()
@@ -263,12 +230,12 @@ def intern_process(root: Process) -> Process:
     return _table.process(root)
 
 
-def arena() -> InternTable:
+def arena() -> Optional[InternTable]:
     """The intern table itself, for building interned nodes straight
     from interned children (:meth:`InternTable.parallel`,
-    :meth:`InternTable.restriction`).  Valid until the next
-    :func:`clear_caches`."""
-    return _table
+    :meth:`InternTable.restriction`), or ``None`` with the cache off.
+    Valid until the next :func:`clear_caches`."""
+    return _table if _enabled else None
 
 
 # ----------------------------------------------------------------------
@@ -859,56 +826,6 @@ def state_key(root: Process, roles: tuple = ()) -> str:
 
 
 # ----------------------------------------------------------------------
-# Successor cache
-# ----------------------------------------------------------------------
-
-
-def successor_key(system) -> Optional[tuple]:
-    """Cache handle for ``successors(system)`` (``None`` when disabled).
-
-    ``private`` and ``roles`` are part of the key because equal process
-    trees can belong to systems with different private-name sets, and
-    verdicts depend on them; the unfold-sharing mode is, because a
-    shared unfold's names would leak into :func:`separate_unfolds`.  Keying on the *identity* of the interned
-    root means a hit hands back transitions whose uids are exactly
-    those of the querying state — not merely alpha-equivalent ones.
-    The handle carries the interned root alongside the key so a stored
-    entry keeps it alive: a live entry's ``id`` can never be recycled
-    onto a different node.
-    """
-    if not _enabled:
-        return None
-    node = _table.process(system.root)
-    return ((id(node), system.private, system.roles, _share_unfolds), node)
-
-
-def successor_get(handle: tuple):
-    """Cached successor transitions for ``handle``, or ``None``.
-
-    The payload is opaque to this module (the tuple of transitions
-    :func:`~repro.semantics.transitions.batched_successors` built).
-    """
-    global _successor_hits, _successor_misses
-    key, _node = handle
-    entry = _successors.get(key)
-    if entry is None:
-        _successor_misses += 1
-        return None
-    _successors.move_to_end(key)
-    _successor_hits += 1
-    return entry[1]
-
-
-def successor_put(handle: tuple, transitions: tuple) -> None:
-    """Record the computed successor transitions of one state (LRU-bounded)."""
-    key, node = handle
-    _successors[key] = (node, transitions)
-    _successors.move_to_end(key)
-    while len(_successors) > SUCCESSOR_CACHE_SIZE:
-        _successors.popitem(last=False)
-
-
-# ----------------------------------------------------------------------
 # Observability
 # ----------------------------------------------------------------------
 
@@ -925,15 +842,14 @@ def note_successor_memos(
 
 
 def metrics_snapshot() -> tuple[int, ...]:
-    """Monotonic counters ``(canonical hit/miss, successor hit/miss,
-    symmetry reorders, leaf memo hit/miss, redex memo hit/miss)`` —
-    snapshot before a run, diff after, publish the delta."""
-    return (_canonical_hits, _canonical_misses, _successor_hits, _successor_misses,
-            _sym_reorders, *_memo_counts)
+    """Monotonic counters ``(canonical hit/miss, symmetry reorders,
+    leaf memo hit/miss, redex memo hit/miss)`` — snapshot before a run,
+    diff after, publish the delta."""
+    return (_canonical_hits, _canonical_misses, _sym_reorders, *_memo_counts)
 
 
-_METRIC_NAMES = ("canonical.hit", "canonical.miss", "successor.hit", "successor.miss",
-                 "reduction.sym_merge", "successor.leaf_hit", "successor.leaf_miss",
+_METRIC_NAMES = ("canonical.hit", "canonical.miss", "reduction.sym_merge",
+                 "successor.leaf_hit", "successor.leaf_miss",
                  "successor.redex_hit", "successor.redex_miss")
 
 

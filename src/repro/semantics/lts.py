@@ -35,9 +35,9 @@ violating run is read back off the exploration that found it
 States are deduplicated up to alpha-equivalence by the canonical key of
 :mod:`repro.semantics.canonical`, which renumbers the fresh ids
 introduced by replication unfolding.  With the state cache enabled
-(the default) keys come from hash-consed, memoized rendering and
-repeated expansions hit a successor cache; ``--no-state-cache`` (or
-``REPRO_NO_STATE_CACHE=1``) falls back to rendering every state
+(the default) keys come from hash-consed, memoized rendering;
+:func:`repro.semantics.canonical.set_cache_enabled` turns it off for
+parity tests and witness replay, which then render every state
 through :func:`repro.syntax.pretty.canonical_process` — the two paths
 produce byte-identical keys, and therefore byte-identical graphs.
 """

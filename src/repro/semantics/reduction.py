@@ -13,7 +13,7 @@ states (hence how far a budget reaches) changes.
 Modes are selected with :func:`set_reduction_mode` (CLI flag
 ``--reduce {none,full}``) or the ``REPRO_REDUCTION`` environment
 variable, read at import so spawn-context suite/serve/cluster workers
-inherit the parent's choice, like ``REPRO_NO_STATE_CACHE``.
+inherit the parent's choice.
 Effectiveness is observable through the ``reduction.sym_merge``
 counter published by the exploration loops.
 """

@@ -267,7 +267,8 @@ def replay_witness(
     the violated property at the trace end.
     Never raises for an invalid witness — the report says why.
     """
-    from repro.analysis.witness import Witness, WitnessError, engine_version
+    from repro import engine_version
+    from repro.analysis.witness import Witness, WitnessError
 
     try:
         witness = data if isinstance(data, Witness) else Witness.from_json(data)

@@ -120,8 +120,8 @@ class System:
         return walk_leaves(self.root)
 
     def with_root(self, root: Process, new_private: frozenset[Name] = frozenset()) -> "System":
-        # Keeping the private set itself when nothing is added keeps its
-        # cached hash (the successor cache keys on it).
+        # Keeping the private set itself when nothing is added saves a
+        # copy per successor.
         private = self.private | new_private if new_private else self.private
         return System(root, private, self.roles)
 

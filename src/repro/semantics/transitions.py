@@ -30,6 +30,7 @@ from typing import Callable, Iterator, Optional
 
 from repro.core.addresses import AddressError, Location, RelativeAddress
 from repro.core.errors import SemanticsError
+from repro.core.intern import InternTable
 from repro.core.processes import (
     AddrMatch,
     Case,
@@ -459,15 +460,9 @@ def batched_successors(system: System) -> tuple[Transition, ...]:
     """Every silent transition enabled in ``system``, as one batch.
 
     Instrumented for fault injection (:mod:`repro.runtime.faults`): the
-    hook is free unless a plan is active, and it fires *before* the
-    successor-cache lookup so injected-fault schedules see the same
-    call sequence whether or not the cache is enabled.
-
-    The transitions are memoized per interned state (see
-    :mod:`repro.semantics.canonical`): re-expanding a state an
-    escalated re-exploration, a resume or a repeated analysis has
-    already visited returns the recorded tuple — uids included, since
-    the cache keys on the identity of the hash-consed root.
+    hook is free unless a plan is active, and it fires first, so
+    injected-fault schedules see the same call sequence whether or not
+    the state cache is enabled.
 
     With the cache enabled, successors are computed incrementally
     through the leaf and redex memos (see the section comment) and
@@ -476,20 +471,14 @@ def batched_successors(system: System) -> tuple[Transition, ...]:
     differential parity suites hold the two byte-identical.
     """
     fault_hook(SUCCESSORS)
-    cache_handle = canonical.successor_key(system)
-    if cache_handle is None:
-        return _reference_successors(system)
-    cached = canonical.successor_get(cache_handle)
-    if cached is not None:
-        return cached
-    result = _arena_successors(system)
-    canonical.successor_put(cache_handle, result)
-    return result
-
-
-def _arena_successors(system: System) -> tuple[Transition, ...]:
-    """The cached path of :func:`batched_successors` (cache enabled)."""
     table = canonical.arena()
+    if table is None:
+        return _reference_successors(system)
+    return _arena_successors(system, table)
+
+
+def _arena_successors(system: System, table: InternTable) -> tuple[Transition, ...]:
+    """The cached path of :func:`batched_successors` (cache enabled)."""
     root = table.process(system.root)
     root_normal = _normalize_interned(root, table) is root
     memoize = canonical.unfolds_shared()

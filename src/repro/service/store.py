@@ -72,6 +72,7 @@ import time
 import uuid
 from typing import Mapping, NamedTuple, Optional
 
+from repro import engine_version
 from repro.core.errors import ReproError
 from repro.runtime.exhaustion import BUDGET_REASONS
 from repro.runtime.journal import Journal, LineTail
@@ -89,14 +90,6 @@ SEGMENT_PREFIX = "seg-"
 
 class StoreError(ReproError):
     """The verdict store directory cannot be used."""
-
-
-def engine_version() -> str:
-    """The engine stamp records carry — bumping :mod:`repro`'s version
-    invalidates every stored verdict at once."""
-    import repro
-
-    return repro.__version__
 
 
 # ----------------------------------------------------------------------

@@ -105,3 +105,29 @@ def simple_receiver(channel: Name, forward_to: Name | None = None) -> Process:
     if forward_to is not None:
         continuation = Output(Channel(forward_to), x, Nil())
     return Input(Channel(channel), x, continuation)
+
+
+def suite_verdicts(records) -> dict:
+    """``job id -> (status, holds, exact, violated)`` of journal-shaped
+    result records: what the worker-parity tests compare."""
+    return {
+        rec["job"]: (
+            rec["status"],
+            rec["result"]["holds"],
+            rec["result"]["exact"],
+            rec["result"]["violated"],
+        )
+        for rec in records
+    }
+
+
+def in_process_verdicts(jobs) -> dict:
+    """:func:`suite_verdicts` of ``jobs`` run one by one in this
+    interpreter through the worker's own entry point, in whatever cache
+    and reduction mode the caller has set."""
+    from repro.runtime.supervisor import OK
+    from repro.runtime.worker import run_job
+
+    return suite_verdicts(
+        {"job": job.id, "status": OK, "result": run_job(job)} for job in jobs
+    )

@@ -42,7 +42,13 @@ from repro.semantics.system import instantiate
 from repro.syntax.parser import parse_process
 from repro.syntax.pretty import canonical_process
 
-from tests.conftest import impl_crypto_multi, impl_plaintext, spec_single
+from tests.conftest import (
+    impl_crypto_multi,
+    impl_plaintext,
+    in_process_verdicts,
+    spec_single,
+    suite_verdicts,
+)
 from tests.test_parser_fuzz import processes
 
 ZOO_NAMES = sorted(ZOO)
@@ -156,9 +162,10 @@ class TestZooGraphParity:
         assert cached["exhaustion"] is not None
 
     def test_repeated_cached_runs_identical(self):
-        # Re-exploring the same system hits the successor cache (the
-        # cached transitions carry the first run's uids) and the
-        # whole-key memo; the graph must not change.
+        # Re-exploring the same system is served by the memos the first
+        # run filled: the leaf and redex memos hand back the same
+        # actions and unfolds, the arena the same interned targets,
+        # and the whole-key memo their keys.  The graph must not change.
         budget = Budget(120, 12)
         system = zoo_system("yahalom", replicate=True)
         first = graph_projection(explore(system, budget))
@@ -166,11 +173,12 @@ class TestZooGraphParity:
         second = graph_projection(explore(system, budget))
         after = canonical.metrics_snapshot()
         assert second == first
-        # The warm run is served by the successor cache; the returned
-        # targets are the first run's System objects, whose per-object
-        # key caches are already populated, so no new canonical misses.
-        assert after[2] > before[2]  # successor hits
-        assert after[1] == before[1]  # no canonical misses
+        hits, misses = {}, {}
+        for name, b, a in zip(canonical._METRIC_NAMES, before, after):
+            (misses if name.endswith("miss") else hits)[name] = a - b
+        assert set(misses.values()) == {0}, misses
+        for name in ("canonical.hit", "successor.leaf_hit", "successor.redex_hit"):
+            assert hits[name] > 0, hits
 
 
 # ----------------------------------------------------------------------
@@ -334,7 +342,7 @@ class TestVerdictParity:
 class TestFaultParity:
     @pytest.mark.parametrize("every", [3, 7])
     def test_successor_faults_hit_same_ordinals(self, every):
-        # The fault hook fires before the successor-cache lookup, so an
+        # The fault hook fires before either successor path runs, so an
         # injected-fault schedule must cut both runs at the same point.
         plan = FaultPlan(every=every, sites=frozenset({SUCCESSORS}))
         budget = Budget(300, 20)
@@ -420,32 +428,27 @@ class TestCheckpointResumeParity:
 # ----------------------------------------------------------------------
 
 
+SUITE_JOBS = zoo_jobs(
+    max_states=200,
+    max_depth=16,
+    protocols=["needham-schroeder-sk", "woo-lam"],
+)
+
+
 def _suite_records(workers: int) -> dict:
-    jobs = zoo_jobs(
-        max_states=200,
-        max_depth=16,
-        protocols=["needham-schroeder-sk", "woo-lam"],
-    )
-    report = run_suite(jobs, workers=workers, retries=0, **FAST)
+    report = run_suite(SUITE_JOBS, workers=workers, retries=0, **FAST)
     assert report.completed
-    return {
-        rec["job"]: (
-            rec["status"],
-            rec["result"]["holds"],
-            rec["result"]["exact"],
-            rec["result"]["violated"],
-        )
-        for rec in report.records()
-    }
+    return suite_verdicts(report.records())
 
 
 class TestWorkerSuiteParity:
-    def test_workers_and_cache_modes_agree(self, monkeypatch):
+    def test_workers_and_cache_modes_agree(self):
         baseline = _suite_records(workers=1)
         assert _suite_records(workers=4) == baseline
-        # Spawned workers read REPRO_NO_STATE_CACHE at import time.
-        monkeypatch.setenv(canonical.DISABLE_ENV, "1")
-        assert _suite_records(workers=4) == baseline
+        # The same jobs run here, uncached, through the worker's own
+        # entry point: the records the 4-worker suite journaled.
+        canonical.set_cache_enabled(False)
+        assert in_process_verdicts(SUITE_JOBS) == baseline
 
 
 # ----------------------------------------------------------------------

@@ -96,7 +96,6 @@ def all_memos() -> dict[str, int]:
         interned=canonical.interned_size(),
         keys=len(canonical._keys),
         sym_keys=len(canonical._sym_keys),
-        successors=len(canonical._successors),
     )
     return sizes
 

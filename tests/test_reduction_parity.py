@@ -51,7 +51,12 @@ from repro.semantics.lts import (
 )
 from repro.semantics.system import instantiate
 
-from tests.conftest import impl_plaintext, spec_single
+from tests.conftest import (
+    impl_plaintext,
+    in_process_verdicts,
+    spec_single,
+    suite_verdicts,
+)
 from tests.test_parser_fuzz import processes
 
 ZOO_NAMES = sorted(ZOO)
@@ -359,25 +364,19 @@ class TestCheckpointResumeParity:
 # ----------------------------------------------------------------------
 
 
+SUITE_JOBS = zoo_jobs(
+    max_states=2000,
+    max_depth=40,
+    protocols=["needham-schroeder-sk", "woo-lam"],
+)
+
+
 def _suite_records() -> dict:
-    jobs = zoo_jobs(
-        max_states=2000,
-        max_depth=40,
-        protocols=["needham-schroeder-sk", "woo-lam"],
-    )
     out = {}
     for workers in (1, 4):
-        report = run_suite(jobs, workers=workers, retries=0, **FAST)
+        report = run_suite(SUITE_JOBS, workers=workers, retries=0, **FAST)
         assert report.completed
-        out[workers] = {
-            rec["job"]: (
-                rec["status"],
-                rec["result"]["holds"],
-                rec["result"]["exact"],
-                rec["result"]["violated"],
-            )
-            for rec in report.records()
-        }
+        out[workers] = suite_verdicts(report.records())
     # Worker count never changes a record within one mode.
     assert out[1] == out[4]
     return out[1]
@@ -385,17 +384,17 @@ def _suite_records() -> dict:
 
 class TestWorkerSuiteParity:
     def test_workers_and_reduction_modes_agree(self, monkeypatch):
-        # Spawned workers read REPRO_REDUCTION and REPRO_NO_STATE_CACHE
-        # at import time, so the matrix drives them through the env.
-        monkeypatch.delenv(canonical.DISABLE_ENV, raising=False)
+        # Spawned workers read REPRO_REDUCTION at import time, so the
+        # matrix drives them through the env.
         monkeypatch.setenv(canonical.REDUCTION_ENV, "full")
         reduced = _suite_records()
         monkeypatch.setenv(canonical.REDUCTION_ENV, "none")
         assert _suite_records() == reduced
-        # Unreduced and uncached: no symmetry merging, no interning, no
-        # successor cache between the verdict and the transition rules.
-        monkeypatch.setenv(canonical.DISABLE_ENV, "1")
-        assert _suite_records() == reduced
+        # Unreduced and uncached, here through the worker's own entry
+        # point: no symmetry merging and no interning between the
+        # verdict and the transition rules.
+        canonical.set_cache_enabled(False)
+        assert under("none", lambda: in_process_verdicts(SUITE_JOBS)) == reduced
 
 
 # ----------------------------------------------------------------------
