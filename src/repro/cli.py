@@ -20,7 +20,9 @@ syntax (``-`` reads stdin, ``-e SOURCE`` passes it inline);
 ``analyze``/``check`` take *system files* (see
 :mod:`repro.syntax.sysfile`) describing whole configurations;
 ``secrecy``/``authentication`` take either a system file path or a
-protocol-zoo name.
+protocol-zoo name.  These four verdicting commands compute every
+verdict through :func:`repro.runtime.worker.run_job`, the job machinery
+``suite`` and ``serve`` workers run, ``REPRO_CERTIFY`` replay included.
 
 Observability (see :mod:`repro.obs`): ``explore``, ``analyze``,
 ``secrecy``, ``authentication``, ``check`` and ``suite`` accept
@@ -34,12 +36,13 @@ replicated sessions off or on (default ``full``); verdicts are
 identical in both modes, only the number of explored states changes.
 
 ``explore``/``analyze``/``check`` share the resilient-runtime flags:
-``--deadline SECONDS`` bounds wall-clock time (a partial, qualified
-result is printed instead of an error), ``--escalate`` retries truncated
-runs with geometrically growing budgets, and ``explore`` additionally
-supports ``--checkpoint PATH`` / ``--resume PATH`` to persist and
-continue interrupted explorations (``--checkpoint-every N`` autosaves
-every N explored states, not just at the end).
+``--deadline SECONDS`` bounds the whole command's wall-clock time (a
+partial, qualified result is printed instead of an error),
+``--escalate`` retries truncated runs with geometrically growing
+budgets, and ``explore`` additionally supports ``--checkpoint PATH`` /
+``--resume PATH`` to persist and continue interrupted explorations
+(``--checkpoint-every N`` autosaves every N explored states, not just
+at the end).
 
 ``suite`` runs a batch of verification jobs on a pool of supervised
 worker processes (see :mod:`repro.runtime.supervisor`): crashed, hung or
@@ -81,7 +84,6 @@ from repro.core.errors import ReproError
 # re-import this module as ``__mp_main__``, so each handler imports what
 # it runs (see docs/internals.md, "Import layering").
 if TYPE_CHECKING:
-    from repro.runtime.deadline import RunControl
     from repro.semantics.system import System
 
 
@@ -188,20 +190,6 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _control(args: argparse.Namespace, on_checkpoint=None) -> Optional[RunControl]:
-    from repro.runtime.deadline import Deadline, RunControl
-
-    deadline = getattr(args, "deadline", None)
-    every = getattr(args, "checkpoint_every", None) if on_checkpoint else None
-    if deadline is None and every is None:
-        return None
-    return RunControl(
-        deadline=Deadline.after(deadline) if deadline is not None else None,
-        checkpoint_every=every,
-        on_checkpoint=on_checkpoint if every else None,
-    )
-
-
 def _load_system(args: argparse.Namespace) -> System:
     from repro.semantics.system import instantiate
     from repro.syntax.parser import parse_process
@@ -253,6 +241,7 @@ def cmd_run(args: argparse.Namespace, out) -> int:
 
 def cmd_explore(args: argparse.Namespace, out) -> int:
     from repro.runtime.checkpoint import Checkpoint
+    from repro.runtime.deadline import Deadline, RunControl
     from repro.runtime.escalation import explore_escalating
     from repro.semantics.diagnostics import statistics, to_dot
     from repro.semantics.lts import Budget, explore, resume_exploration
@@ -263,7 +252,13 @@ def cmd_explore(args: argparse.Namespace, out) -> int:
     sink = None
     if args.checkpoint is not None and args.checkpoint_every:
         sink = lambda graph: Checkpoint(graph, budget).save(args.checkpoint)
-    ctl = _control(args, on_checkpoint=sink)
+    ctl = None
+    if args.deadline is not None or sink is not None:
+        ctl = RunControl(
+            deadline=Deadline.after(args.deadline) if args.deadline is not None else None,
+            checkpoint_every=args.checkpoint_every if sink else None,
+            on_checkpoint=sink,
+        )
     if args.resume is not None:
         checkpoint = Checkpoint.load(args.resume)
         print(
@@ -299,68 +294,108 @@ def cmd_explore(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def cmd_analyze(args: argparse.Namespace, out) -> int:
-    from repro.analysis.environment import (
-        env_authentication,
-        env_freshness,
-        env_secrecy,
+def _job(args: argparse.Namespace, name: str, kind: str, target: dict, **fields):
+    """A ``kind`` verdict job over ``target`` on the command's budget."""
+    from repro.runtime.worker import Job
+
+    return Job(
+        id=f"{args.command}:{name}",
+        kind=kind,
+        target=target,
+        max_states=args.max_states,
+        max_depth=args.max_depth,
+        **fields,
     )
-    from repro.runtime.deadline import governed
+
+
+def _run_verdicts(args: argparse.Namespace, jobs: list, out) -> int:
+    """Print the verdicts of ``(label, job)`` pairs; return the exit code.
+
+    Each verdict comes from :func:`repro.runtime.worker.run_job`, the
+    code ``suite`` and ``serve`` workers run (``REPRO_CERTIFY`` replay
+    included).  ``--deadline`` bounds the whole command; ``--escalate``
+    re-runs a job with grown budgets.  A label prefixes its verdict and
+    puts the escalation ladder below it; an unlabelled verdict follows
+    its ladder.
+    """
+    from dataclasses import replace
+
+    from repro.runtime.deadline import Deadline, RunControl
     from repro.runtime.escalation import escalate
+    from repro.runtime.worker import run_job
     from repro.semantics.lts import Budget
-    from repro.syntax.sysfile import load_system_file
+    from repro.semantics.replay import CertificationError
 
-    sysfile = load_system_file(args.sysfile)
-    budget = Budget(max_states=args.max_states, max_depth=args.max_depth)
-    cfg = sysfile.configuration
-
+    deadline = Deadline.after(args.deadline) if args.deadline is not None else None
     violated = False
+    for label, job in jobs:
 
-    def run_check(label, check):
-        nonlocal violated
-        if args.escalate:
-            verdict, report = escalate(check, budget)
-            print(f"{label}: {verdict.describe()}", file=out)
-            if len(report.attempts) > 1 or not report.exact:
-                print(f"  {report.describe()}", file=out)
+        def attempt(budget: Budget) -> dict:
+            return run_job(
+                replace(job, max_states=budget.max_states, max_depth=budget.max_depth),
+                deadline=deadline.remaining() if deadline is not None else None,
+            )
+
+        budget = Budget(job.max_states, job.max_depth)
+        try:
+            if getattr(args, "escalate", False):
+                # Judged by each result's exhaustion record: a deadline
+                # or cancelled attempt ends the ladder, a budget one grows it.
+                result, report = escalate(
+                    attempt, budget, control=RunControl(deadline=deadline)
+                )
+            else:
+                result, report = attempt(budget), None
+        except CertificationError as err:
+            # A witness that does not replay is a fault in the search,
+            # not a verdict: exit 3 (degraded), never a silent 0 or 1.
+            print(f"certification failed: {err}", file=out)
+            return 3
+        ladder = None
+        if report is not None and (len(report.attempts) > 1 or not report.exact):
+            ladder = report.describe()
+        if label is None:
+            if ladder is not None:
+                print(ladder, file=out)
+            print(result["summary"], file=out)
         else:
-            verdict = check(budget)
-            print(f"{label}: {verdict.describe()}", file=out)
-        if not verdict.holds:
-            violated = True
-
-    with governed(control=_control(args)):
-        if args.sender is not None:
-            run_check(
-                f"authentication({args.sender})",
-                lambda b: env_authentication(
-                    cfg, args.sender, observe=sysfile.observe.base, budget=b
-                ),
+            print(f"{label}: {result['summary']}", file=out)
+            if ladder is not None:
+                print(f"  {ladder}", file=out)
+        if result.get("certified"):
+            print(
+                "certified: witness replayed independently "
+                "(reduction and state cache disabled)",
+                file=out,
             )
-        run_check(
-            "freshness",
-            lambda b: env_freshness(cfg, observe=sysfile.observe.base, budget=b),
-        )
-        for secret in args.secret or []:
-            run_check(
-                f"secrecy({secret})",
-                lambda b, s=secret: env_secrecy(cfg, s, budget=b),
-            )
+        violated = violated or result["violated"]
     return 1 if violated else 0
+
+
+def cmd_analyze(args: argparse.Namespace, out) -> int:
+    target = {"sysfile": args.sysfile}
+    jobs = []
+    if args.sender is not None:
+        label = f"authentication({args.sender})"
+        job = _job(args, label, "authentication", target, sender=args.sender)
+        jobs.append((label, job))
+    jobs.append(("freshness", _job(args, "freshness", "freshness", target)))
+    for secret in args.secret or []:
+        label = f"secrecy({secret})"
+        jobs.append((label, _job(args, label, "secrecy", target, secret=secret)))
+    return _run_verdicts(args, jobs, out)
 
 
 def cmd_property(args: argparse.Namespace, out) -> int:
     """``secrecy`` / ``authentication``: one exit-coded property verdict.
 
     The target is a system file path when one exists at that path, a
-    protocol-zoo name otherwise.  Execution goes through
-    :func:`repro.runtime.worker.run_job`, so the verdict matches what a
+    protocol-zoo name otherwise.  Like every verdicting command it runs
+    through :func:`_run_verdicts`, so the verdict matches what a
     ``suite`` job over the same target would journal — stat block
     included.
     """
     import os
-
-    from repro.runtime.worker import Job, run_job
 
     if os.path.exists(args.target):
         target = {"sysfile": args.target}
@@ -373,34 +408,15 @@ def cmd_property(args: argparse.Namespace, out) -> int:
                 f"zoo protocols ({', '.join(sorted(ZOO))})"
             )
         target = {"zoo": args.target}
-    job = Job(
-        id=f"{args.command}:{args.target}",
-        kind=args.command,
-        target=target,
-        max_states=args.max_states,
-        max_depth=args.max_depth,
+    job = _job(
+        args,
+        args.target,
+        args.command,
+        target,
         secret=getattr(args, "secret", None),
         sender=getattr(args, "sender", None),
     )
-    from repro.semantics.replay import CertificationError
-
-    try:
-        result = run_job(job, deadline=args.deadline)
-    except CertificationError as err:
-        # --certify found a violation whose witness does not replay
-        # under the unreduced, uncached semantics.  That is a fault in
-        # the search, not a verdict: exit 3 (degraded), never a silent
-        # 0 or a confident 1.
-        print(f"certification failed: {err}", file=out)
-        return 3
-    print(result["summary"], file=out)
-    if result.get("certified"):
-        print(
-            "certified: witness replayed independently "
-            "(reduction and state cache disabled)",
-            file=out,
-        )
-    return 1 if result["violated"] else 0
+    return _run_verdicts(args, [(None, job)], out)
 
 
 def cmd_stats(args: argparse.Namespace, out) -> int:
@@ -437,65 +453,8 @@ def cmd_stats(args: argparse.Namespace, out) -> int:
 
 
 def cmd_check(args: argparse.Namespace, out) -> int:
-    from repro.analysis.attacks import securely_implements
-    from repro.analysis.intruder import standard_attackers
-    from repro.runtime.deadline import governed
-    from repro.runtime.escalation import escalate
-    from repro.semantics.lts import Budget
-    from repro.syntax.sysfile import load_system_file
-
-    impl = load_system_file(args.impl)
-    spec = load_system_file(args.spec)
-    if set(impl.configuration.private) != set(spec.configuration.private):
-        raise ReproError("the two system files declare different channels")
-
-    budget = Budget(max_states=args.max_states, max_depth=args.max_depth)
-    roles = [label for _, _, label in impl.configuration.subroles]
-    roles = roles or list(impl.configuration.labels())
-
-    def run(b: Budget):
-        return securely_implements(
-            impl.configuration,
-            spec.configuration,
-            standard_attackers(list(impl.configuration.private)),
-            observe=impl.observe,
-            roles=tuple(roles) + ("E",),
-            budget=b,
-        )
-
-    with governed(control=_control(args)):
-        if args.escalate:
-            verdict, report = escalate(run, budget)
-            if len(report.attempts) > 1 or not report.exact:
-                print(report.describe(), file=out)
-        else:
-            verdict = run(budget)
-    print(verdict.describe(), file=out)
-    from repro.runtime.worker import certify_enabled
-
-    if not verdict.secure and certify_enabled():
-        from repro.semantics.replay import replay_witness
-
-        attack = verdict.attack
-        witness = attack.witness if attack is not None else None
-        if witness is None:
-            print("certification failed: attack carries no witness", file=out)
-            return 3
-        recipe = {
-            "source": "check",
-            "impl": args.impl,
-            "spec": args.spec,
-            "observe": impl.observe.base,
-            "roles": tuple(roles) + ("E",),
-            "attacker": attack.attacker_name,
-            "test": attack.test.name,
-        }
-        report = replay_witness(witness.sealed(recipe).to_json())
-        if not report.ok:
-            print(f"certification failed: {report.describe()}", file=out)
-            return 3
-        print(report.describe(), file=out)
-    return 0 if verdict.secure else 1
+    target = {"impl": args.impl, "spec": args.spec}
+    return _run_verdicts(args, [(None, _job(args, args.impl, "check", target))], out)
 
 
 def _suite_jobs(args: argparse.Namespace) -> list:
@@ -589,18 +548,35 @@ def _parse_tcp(spec: str) -> tuple[str, int]:
         raise ReproError(f"bad --tcp address {spec!r} (expected HOST:PORT)")
 
 
+def _serve_until_drained(service, socket_path: Optional[str], out) -> int:
+    """Bind ``service`` (a server or router) and serve until drained.
+
+    One flushed ``listening on ...`` line per bound endpoint lets
+    launchers wait for readiness and discover an ephemeral TCP port.
+    """
+    from repro.runtime.lifecycle import drain_signals
+
+    service.bind()
+    if socket_path is not None:
+        print(f"listening on unix:{socket_path}", file=out, flush=True)
+    if service.tcp_address is not None:
+        bound_host, bound_port = service.tcp_address
+        print(f"listening on tcp:{bound_host}:{bound_port}", file=out, flush=True)
+    with drain_signals(on_signal=lambda signum: service.request_drain()):
+        code = service.serve_forever()
+    print("drained", file=out, flush=True)
+    return code
+
+
 def cmd_serve(args: argparse.Namespace, out) -> int:
     """``serve``: run the verification service until drained.
 
-    Prints one ``listening on ...`` line per bound endpoint (so
-    launchers can wait for readiness and discover an ephemeral TCP
-    port), then serves until SIGINT/SIGTERM, draining gracefully:
-    listeners close, queued requests are shed with ``draining``
-    responses (journaled, so a batch ``--resume`` completes them),
-    in-flight jobs get ``--drain-grace`` seconds, and the exit status
-    is 0.
+    Serves until SIGINT/SIGTERM (see :func:`_serve_until_drained`),
+    then drains gracefully: listeners close, queued requests are shed
+    with ``draining`` responses (journaled, so a batch ``--resume``
+    completes them), in-flight jobs get ``--drain-grace`` seconds, and
+    the exit status is 0.
     """
-    from repro.runtime.lifecycle import drain_signals
     from repro.service.server import Server, ServerConfig
 
     host, port = _parse_tcp(args.tcp) if args.tcp is not None else (None, None)
@@ -624,16 +600,7 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
         dedupe=args.dedupe,
         verdict_store=args.verdict_store,
     ))
-    server.bind()
-    if args.socket is not None:
-        print(f"listening on unix:{args.socket}", file=out, flush=True)
-    if server.tcp_address is not None:
-        bound_host, bound_port = server.tcp_address
-        print(f"listening on tcp:{bound_host}:{bound_port}", file=out, flush=True)
-    with drain_signals(on_signal=lambda signum: server.request_drain()):
-        code = server.serve_forever()
-    print("drained", file=out, flush=True)
-    return code
+    return _serve_until_drained(server, args.socket, out)
 
 
 def cmd_cluster(args: argparse.Namespace, out) -> int:
@@ -646,7 +613,6 @@ def cmd_cluster(args: argparse.Namespace, out) -> int:
     crashes with backoff, and fails over in-flight requests with
     journal-keyed exactly-once dedupe.  See docs/cluster.md.
     """
-    from repro.runtime.lifecycle import drain_signals
     from repro.service.router import Router, RouterConfig
 
     host, port = _parse_tcp(args.tcp) if args.tcp is not None else (None, None)
@@ -674,17 +640,7 @@ def cmd_cluster(args: argparse.Namespace, out) -> int:
         allow_fault_injection=args.allow_fault_injection,
         verdict_store=args.verdict_store,
     )
-    router = Router(config)
-    router.bind()
-    if args.socket is not None:
-        print(f"listening on unix:{args.socket}", file=out, flush=True)
-    if router.tcp_address is not None:
-        bound_host, bound_port = router.tcp_address
-        print(f"listening on tcp:{bound_host}:{bound_port}", file=out, flush=True)
-    with drain_signals(on_signal=lambda signum: router.request_drain()):
-        code = router.serve_forever()
-    print("drained", file=out, flush=True)
-    return code
+    return _serve_until_drained(Router(config), args.socket, out)
 
 
 def _cluster_router_address(cluster_dir: str) -> Any:
@@ -1586,9 +1542,8 @@ def _dispatch(args: argparse.Namespace, out) -> int:
         if getattr(args, "certify", False):
             from repro.runtime.worker import CERTIFY_ENV
 
-            # cmd_check's in-process certify path and run_job read the
-            # variable back through certify_enabled(); cluster shards
-            # get it through their serve subprocesses.
+            # run_job reads it here and in spawned suite/serve workers;
+            # cluster shards get it through their serve subprocesses.
             stack.enter_context(_exported(CERTIFY_ENV, "1"))
         return _dispatch_observed(args, out)
 

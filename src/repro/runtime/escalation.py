@@ -210,12 +210,15 @@ _MISSING = object()
 def result_exhaustion(result: Any) -> Optional[Exhaustion]:
     """Best-effort extraction of a result's exhaustion record.
 
-    Understands anything with an ``exhaustion`` attribute, the
-    ``exhaustive``/``truncated`` boolean conventions, and the
-    ``(value, exhaustive)`` tuples some primitives return.  Booleans are
-    mapped to a bare budget-reason record (``states+depth``) so the
-    escalation loop treats them as retriable.
+    Understands anything with an ``exhaustion`` attribute, the JSON
+    results of :func:`repro.runtime.worker.run_job` (their
+    ``"exhaustion"`` record), the ``exhaustive``/``truncated`` boolean
+    conventions, and the ``(value, exhaustive)`` tuples some primitives
+    return.  Booleans are mapped to a bare budget-reason record
+    (``states+depth``) so the escalation loop treats them as retriable.
     """
+    if isinstance(result, dict) and "exhaustion" in result:
+        return Exhaustion.from_json(result["exhaustion"])
     probed = getattr(result, "exhaustion", _MISSING)
     if probed is not _MISSING:
         return probed

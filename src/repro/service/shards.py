@@ -288,7 +288,6 @@ def local_shard_argv(
     drain_grace: float,
     allow_fault_injection: bool,
     python: str = sys.executable,
-    dedupe: bool = True,
     verdict_store: Optional[str] = None,
 ) -> list[str]:
     """The ``repro-spi serve`` command line for one local shard.
@@ -296,7 +295,7 @@ def local_shard_argv(
     Always passes ``--rebuild-breakers``: a respawned shard replays its
     journal so an open breaker survives the crash that killed the
     process (see :meth:`repro.service.breaker.BreakerBoard.rebuild`).
-    Cluster shards also get ``--dedupe`` by default: the shard treats
+    Cluster shards also always get ``--dedupe``: the shard treats
     the request id as an idempotency key against its own journal and
     in-flight table, the backstop that keeps verdicts exactly-once when
     a client retry re-drives work the shard is still computing.
@@ -321,9 +320,8 @@ def local_shard_argv(
         "--breaker-cooldown", str(breaker_cooldown),
         "--drain-grace", str(drain_grace),
         "--rebuild-breakers",
+        "--dedupe",
     ]
-    if dedupe:
-        argv.append("--dedupe")
     if verdict_store is not None:
         argv += ["--verdict-store", verdict_store]
     if job_deadline is not None:

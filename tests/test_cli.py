@@ -417,6 +417,105 @@ class TestObservabilityFlags:
         assert "suite.dispatch" in names and "suite.outcome" in names
 
 
+P1 = str(SYSTEMS_DIR / "p1_impl.spi")
+P2 = str(SYSTEMS_DIR / "p2_impl.spi")
+P_SPEC = str(SYSTEMS_DIR / "p_spec.spi")
+
+
+def _masked(text: str) -> str:
+    """``text`` with fresh-name suffixes (``M#123``) made run-independent."""
+    import re
+
+    return re.sub(r"#\d+", "#", text)
+
+
+class TestVerdictRuntimeFlags:
+    """``analyze``/``check`` under ``--escalate`` and ``--deadline``, and
+    their verdict lines against the job machinery ``suite`` runs."""
+
+    SMALL = ("--escalate", "--max-states", "5", "--max-depth", "3")
+    LADDER = "escalation exact after 2 attempt(s) [5s/3d -> 20s/6d], "
+    LABELS = ("authentication(A): ", "freshness: ", "secrecy(M): ")
+
+    @pytest.mark.parametrize("impl,code", [(P1, 1), (P2, 0)])
+    def test_analyze_escalate_ladder_follows_each_label(self, impl, code):
+        status, output = run_cli(
+            "analyze", impl, "--sender", "A", "--secret", "M", *self.SMALL
+        )
+        assert status == code
+        lines = output.splitlines()
+        assert len(lines) == 2 * len(self.LABELS)
+        for index, label in enumerate(self.LABELS):
+            assert lines[2 * index].startswith(label)
+            assert lines[2 * index + 1].startswith("  " + self.LADDER)
+
+    @pytest.mark.parametrize(
+        "impl,code,verdict",
+        [(P1, 1, "NOT a secure implementation:"), (P2, 0, "securely implements")],
+    )
+    def test_check_escalate_ladder_precedes_verdict(self, impl, code, verdict):
+        status, output = run_cli("check", impl, P_SPEC, *self.SMALL)
+        assert status == code
+        lines = output.splitlines()
+        assert lines[0].startswith(self.LADDER)
+        assert lines[1].startswith(verdict)
+
+    @pytest.mark.parametrize("impl,code", [(P1, 1), (P2, 0)])
+    def test_analyze_deadline_keeps_exit_codes(self, impl, code):
+        status, output = run_cli(
+            "analyze", impl, "--sender", "A", "--secret", "M", "--deadline", "60"
+        )
+        assert status == code
+        assert "deadline" not in output
+
+    def test_analyze_expired_deadline_qualifies_every_verdict(self):
+        status, output = run_cli(
+            "analyze", P1, "--sender", "A", "--secret", "M", "--deadline", "0"
+        )
+        assert status == 0
+        lines = output.splitlines()
+        assert len(lines) == len(self.LABELS)
+        for line, label in zip(lines, self.LABELS):
+            assert line.startswith(label)
+            assert line.endswith("(within budget: deadline)")
+
+    def test_expired_deadline_stops_the_escalation_ladder(self):
+        status, output = run_cli("check", P2, P_SPEC, *self.SMALL, "--deadline", "0")
+        assert status == 0
+        lines = output.splitlines()
+        assert lines[0].startswith(
+            "escalation gave up (interrupted) after 1 attempt(s) [5s/3d]"
+        )
+        assert lines[1].endswith("(budget-limited: deadline)")
+
+    @pytest.mark.parametrize("impl", [P1, P2])
+    def test_verdict_lines_match_run_job(self, impl):
+        from repro.runtime.worker import Job, run_job
+
+        _, output = run_cli("check", impl, P_SPEC)
+        expected = run_job(Job(
+            id="parity:check", kind="check", target={"impl": impl, "spec": P_SPEC},
+            max_states=2000, max_depth=24,
+        ))
+        assert _masked(output) == _masked(expected["summary"] + "\n")
+
+        _, output = run_cli("analyze", impl, "--sender", "A", "--secret", "M")
+        target = {"sysfile": impl}
+        jobs = (
+            Job(id="parity:auth", kind="authentication", target=target, sender="A",
+                max_states=4000, max_depth=18),
+            Job(id="parity:fresh", kind="freshness", target=target,
+                max_states=4000, max_depth=18),
+            Job(id="parity:secrecy", kind="secrecy", target=target, secret="M",
+                max_states=4000, max_depth=18),
+        )
+        expected = "".join(
+            f"{label}{run_job(job)['summary']}\n"
+            for label, job in zip(self.LABELS, jobs)
+        )
+        assert _masked(output) == _masked(expected)
+
+
 class TestReduceFlag:
     """``--reduce {none,full}`` on every verdicting command."""
 

@@ -495,6 +495,7 @@ class TestShardHelpers:
             drain_grace=5.0, allow_fault_injection=False,
         )
         assert "--rebuild-breakers" in argv
+        assert "--dedupe" in argv
         assert "--allow-fault-injection" not in argv
         assert argv[:3] == [sys.executable, "-m", "repro.cli"]
 

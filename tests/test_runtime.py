@@ -502,6 +502,24 @@ class TestEscalation:
         assert result_exhaustion((True, False)) is not None
         assert result_exhaustion((False, True)) is None
 
+    def test_job_results_escalate_by_their_exhaustion_record(self):
+        # run_job payloads carry their exhaustion as JSON: budget
+        # reasons grow the budget, a cancelled attempt ends the ladder.
+        def job_result(*reasons):
+            return {"exhaustion": Exhaustion(reasons).to_json() if reasons else None}
+
+        assert result_exhaustion(job_result()) is None
+        assert result_exhaustion(job_result(STATES)).retriable
+        budgets = []
+
+        def run(budget):
+            budgets.append(budget)
+            return job_result(STATES if len(budgets) == 1 else CANCELLED)
+
+        _, report = escalate(run, Budget(max_states=5, max_depth=3))
+        assert len(budgets) == 2
+        assert (report.exact, report.stopped) == (False, "interrupted")
+
     def test_memory_estimate_positive(self):
         assert estimate_graph_memory_mb(explore(chain_system(3))) > 0.0
 

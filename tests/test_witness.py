@@ -329,7 +329,7 @@ class TestWitnessCli:
     def test_certify_flag_on_check_command(self):
         status, output = run_cli("check", P1, P_SPEC, "--certify")
         assert status == 1
-        assert "witness certified" in output
+        assert "certified: witness replayed independently" in output
 
 
 class TestStoreVerify:
