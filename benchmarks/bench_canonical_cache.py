@@ -9,14 +9,18 @@ workloads:
   byte-identical to the uncached path), so this mostly gauges the
   overhead of interning; the contract is "about parity".
 * **escalation** — the resilient runtime's budget-escalation ladder
-  re-explores the same system at growing budgets.  The rungs below the
-  last are served from the successor cache, so the ladder costs little
-  more than its final rung.
+  re-explores the same system at growing budgets.  Each rung re-expands
+  the states of the rungs below it, whose leaves, redexes and
+  replication unfolds are already in the successor memos and whose
+  keys are already memoized, so those states cost little more than
+  the grafts that rebuild their targets.
 * **replay** — re-exploring an already-explored system (what
   checkpoint/resume, the differential parity suite, and any repeated
-  analysis over one system do).  The cached run returns the recorded
-  transitions — uids included — and the per-object key caches make
-  deduplication free; this is the workload the cache exists for.
+  analysis over one system do).  Every expansion is served from the
+  leaf, redex and unfold memos, so the targets come back as the same
+  interned trees (uids included), and the whole-key memo makes
+  deduplication a dictionary lookup; this is the workload the cache
+  exists for.
 
 Results are written to ``BENCH_canonical.json`` at the repository root
 so future changes can track the trajectory; the replay workload is

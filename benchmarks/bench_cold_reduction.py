@@ -16,12 +16,13 @@ that figure over the baseline's own states/s, i.e. the wall-clock
 ratio for identical coverage.
 
 Depths are chosen so the baseline exhausts the horizon (``depth`` is
-the only exhaustion reason) in tens of seconds: replicated zoo spaces
-grow by roughly an order of magnitude per level.  Results are written
-to ``BENCH_reduction.json`` at the repository root so future changes
-can track the trajectory; at least two protocols must clear the 3x
-bar that justifies the reducer.  ``--quick`` (CI smoke) runs one
-shallow horizon per protocol and checks only the state-count
+the only exhaustion reason) in a few seconds (0.6-2.7 s each on a
+2-vCPU container): replicated zoo spaces grow by roughly an order of
+magnitude per level.  At least two protocols must clear the 3x bar
+that justifies the reducer; only a run that does rewrites
+``BENCH_reduction.json`` at the repository root, so a failed run
+leaves the committed reference as it was.  ``--quick`` (CI smoke) runs
+one shallow horizon per protocol and checks only the state-count
 contraction, not the timing bar.
 """
 
@@ -127,6 +128,10 @@ def test_cold_reduction_states_per_second(request):
         return
 
     at_target = [n for n, row in results.items() if row["speedup"] >= TARGET_SPEEDUP]
+    speedups = {name: row["speedup"] for name, row in results.items()}
+    assert len(at_target) >= 2, (
+        f"only {at_target} reached {TARGET_SPEEDUP}x; speedups {speedups}"
+    )
     RESULTS.write_text(
         json.dumps(
             {
@@ -143,7 +148,4 @@ def test_cold_reduction_states_per_second(request):
             indent=2,
         )
         + "\n"
-    )
-    assert len(at_target) >= 2, (
-        f"only {at_target} reached {TARGET_SPEEDUP}x (see {RESULTS})"
     )

@@ -59,8 +59,13 @@ class EnvState:
     system: System
     knowledge: Knowledge
 
-    def key(self) -> tuple[str, frozenset]:
-        return (self.system.canonical_key(), self.knowledge.atoms)
+    def key(self) -> tuple[str, str]:
+        """Process and knowledge keyed together: see ``canonical.knowledge_key``."""
+        system = self.system
+        return (
+            system.canonical_key(),
+            canonical.knowledge_key(system.root, system.roles, self.knowledge.atoms),
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,10 +235,8 @@ def env_explore(
         return env_successors(state, env_loc, channels, synth_depth)
 
     graph = Graph(initial=initial.key())
-    # States are keyed on raw knowledge, so the uid families must be
-    # those of the reference path (see canonical.separate_unfolds).
     with trace_span("env.explore", max_states=budget.max_states,
-                    max_depth=budget.max_depth), canonical.separate_unfolds():
+                    max_depth=budget.max_depth):
         _bfs(graph, expand, EnvState.key, budget, resolve_control(control),
              initial=initial, family="env")
     metrics = current_metrics()

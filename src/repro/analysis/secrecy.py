@@ -22,16 +22,18 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.analysis.knowledge import Knowledge
-from repro.core.addresses import is_prefix
+from repro.core.addresses import Location, is_prefix
 from repro.core.processes import Channel, Input, LocVar, Nil, Output, Process, Restriction
 from repro.core.terms import Name, Term, Var, fresh_uid
 from repro.equivalence.testing import Configuration, compose
 from repro.protocols.paper import Continuation, observing_continuation
 from repro.protocols.startup import startup
-from repro.runtime.deadline import RunControl
+from repro.runtime.deadline import RunControl, resolve_control
 from repro.runtime.exhaustion import Exhaustion
-from repro.semantics import canonical
-from repro.semantics.lts import Budget, DEFAULT_BUDGET, explore
+from repro.semantics.actions import Transition
+from repro.semantics.lts import Budget, DEFAULT_BUDGET, Graph, _bfs, explore
+from repro.semantics.system import System
+from repro.semantics.transitions import successors
 
 if TYPE_CHECKING:
     from repro.analysis.witness import Witness
@@ -81,10 +83,14 @@ def keeps_secret(
 
     ``secret`` selects the sensitive names — either a predicate on
     :class:`Name` or a base spelling (every restricted name spelled so
-    counts, across all replication instances).  The spy's knowledge is
-    the Dolev-Yao closure of every message delivered *to* it anywhere in
-    the explored state space (a sound over-approximation of any single
-    run within the horizon).
+    counts, across all replication instances).
+
+    The Dolev-Yao closure of everything delivered *to* the spy anywhere
+    in the explored space over-approximates any run, so it only filters.
+    :func:`_leak_path` confirms a secret it derives: a run found is the
+    leak (witnessed when ``secret`` is a spelling), an exhaustive search
+    finding none keeps the secret, and a search cut short leaves the
+    union's leak standing without a witness.
     """
     if isinstance(secret, str):
         base = secret
@@ -94,11 +100,7 @@ def keeps_secret(
 
     system = compose(config)
     spy_loc = system.location_of(spy)
-    # The union below merges raw names heard on different branches;
-    # shared unfolds would give one site's names one uid on all of
-    # them and coarsen it (see canonical.separate_unfolds).
-    with canonical.separate_unfolds():
-        graph = explore(system, budget, control)
+    graph = explore(system, budget, control)
 
     heard: list[Term] = []
     secrets: set[Name] = set()
@@ -112,35 +114,62 @@ def keeps_secret(
                 heard.append(action.value)
 
     knowledge = Knowledge.from_terms(heard)
-    for name in sorted(secrets, key=lambda n: n.uid or 0):
-        if knowledge.can_derive(name):
-            witness = None
-            if isinstance(secret, str):
-                # Union-knowledge over all branches is an over-
-                # approximation of any single run; the witness builder
-                # searches for one concrete leaking path and may come
-                # up empty within the budget or the job's deadline
-                # (witness stays None and --certify degrades the
-                # verdict to a fault).
-                from repro.analysis.witness import secrecy_witness
+    leaks = [name for name in secrets if knowledge.can_derive(name)]
+    leak = witness = None
+    if leaks:
+        found, run, exhaustive = _leak_path(system, spy_loc, predicate, budget, control)
+        if found is not None or not exhaustive:
+            leak = found or min(leaks, key=lambda n: n.uid or 0)
+        if run is not None and isinstance(secret, str):
+            from repro.analysis.witness import secrecy_witness
 
-                witness = secrecy_witness(
-                    system, spy_loc, secret, spy, budget, control
-                )
-            return SecrecyVerdict(
-                holds=False,
-                exhaustive=not graph.truncated,
-                heard=len(heard),
-                leak=name,
-                exhaustion=graph.exhaustion,
-                witness=witness,
-            )
+            witness = secrecy_witness(system, run, secret, spy)
     return SecrecyVerdict(
-        holds=True,
+        holds=leak is None,
         exhaustive=not graph.truncated,
         heard=len(heard),
+        leak=leak,
         exhaustion=graph.exhaustion,
+        witness=witness,
     )
+
+
+def _leak_path(
+    system: System,
+    spy_loc: Location,
+    predicate: Callable[[Name], bool],
+    budget: Budget,
+    control: Optional[RunControl],
+) -> tuple[Optional[Name], Optional[list[Transition]], bool]:
+    """``(leaked name, run, exhaustive)`` for the shortest run whose own
+    spy knowledge derives a secret: a search over (state, path
+    knowledge) nodes, keyed like environment states.  Name and run are
+    ``None`` if no run leaks before the budget or ``control`` stops it."""
+    from repro.analysis.environment import EnvState, EnvStep
+
+    def derived(node: EnvState) -> list[Name]:
+        return [
+            name for name in node.system.private
+            if predicate(name) and node.knowledge.can_derive(name)
+        ]
+
+    def expand(node: EnvState) -> list[EnvStep]:
+        steps = []
+        for step in successors(node.system):
+            known = node.knowledge
+            if is_prefix(spy_loc, step.action.receiver):
+                known = known.adding(step.action.value)
+            steps.append(EnvStep("tau", step.action, EnvState(step.target, known)))
+        return steps
+
+    start = EnvState(system, Knowledge.from_terms(()))
+    graph = Graph(initial=start.key())
+    found = _bfs(graph, expand, EnvState.key, budget, resolve_control(control),
+                 initial=start, goal=lambda node: bool(derived(node)), family="search")
+    if found is None:
+        return None, None, not graph.truncated
+    run = [Transition(step.action, step.target.system) for step in graph.trace_to(found)]
+    return min(derived(graph.states[found]), key=lambda n: n.uid or 0), run, True
 
 
 def secrecy_protocol(

@@ -24,17 +24,15 @@ Design constraints:
   *unsealed* witness (``system`` recipe ``None``, no checksum).  The
   caller that owns the construction (the worker, the CLI) seals it with
   a recipe via :meth:`Witness.sealed`, which also stamps the checksum.
-* **One exploration.**  A witness is the path back through the
-  verdict's own exploration tree (:meth:`repro.semantics.lts.Graph.trace_to`),
+* **One exploration.**  A witness is the path back through the tree
+  that decided the verdict (:meth:`repro.semantics.lts.Graph.trace_to`),
   walked along parent pointers from the first violating state in
-  breadth-first order, so no state is expanded twice.  The one exception
-  is plain-semantics secrecy, whose verdict unions the spy's knowledge
-  over all branches; :func:`secrecy_witness` searches the
-  ``(state, path knowledge)`` product space for one concrete run.
-* **Best effort.**  That search may exhaust its budget or be stopped
-  by the job's deadline and return ``None`` — under ``--certify`` a
-  violation without a replayable witness degrades to a retryable fault
-  rather than a silent wrong verdict.
+  breadth-first order, so no state is expanded twice.  For plain-semantics
+  secrecy that is the ``(state, path knowledge)`` search with which
+  :func:`repro.analysis.secrecy.keeps_secret` confirms a union leak.
+* **Best effort.**  That search may exhaust its budget or be stopped by
+  the job's deadline: the leak stands without a witness, and under
+  ``--certify`` it degrades to a retryable fault, not a wrong verdict.
 """
 
 from __future__ import annotations
@@ -42,10 +40,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 from repro import engine_version
-from repro.core.addresses import Location, is_prefix
+from repro.core.addresses import Location
 from repro.core.errors import ReproError
 from repro.core.terms import (
     At,
@@ -58,12 +56,9 @@ from repro.core.terms import (
     Var,
     Zero,
 )
-from repro.runtime.deadline import RunControl, resolve_control
-from repro.semantics import canonical
 from repro.semantics.actions import Comm, Transition
-from repro.semantics.lts import Budget, Graph, _bfs
+from repro.semantics.lts import Graph
 from repro.semantics.system import System
-from repro.semantics.transitions import successors
 
 #: Recognized witness kinds.  The ``env-`` prefix selects the
 #: environment-sensitive (most-general-attacker) semantics on replay.
@@ -278,60 +273,11 @@ def graph_witness(graph: Graph, key: Any, kind: str, prop: Mapping[str, Any]) ->
     )
 
 
-class _SpyStep(NamedTuple):
-    """A step of the secrecy product space: the plain transition and
-    the product state it leads to."""
-
-    transition: Transition
-    target: Any  # EnvState: the target system and the spy's path knowledge
-
-
 def secrecy_witness(
-    system: System,
-    spy_loc: Location,
-    secret_base: str,
-    spy: str,
-    budget: Budget,
-    control: Optional[RunControl] = None,
-) -> Optional[Witness]:
-    """Shortest run along which the spy's *path* knowledge derives a
-    secret.
-
-    :func:`repro.analysis.secrecy.keeps_secret` unions the spy's hearing
-    over every explored branch (a sound over-approximation); a witness
-    must be one concrete run, so this is a search of its own over
-    ``(system state, path knowledge)`` nodes, with unreduced successors.
-    Returns ``None`` when no single-path leak is found within the
-    budget, or before ``control`` stops the search.
-    """
-    from repro.analysis.environment import EnvState
-    from repro.analysis.knowledge import Knowledge
-
-    def leaks(node: EnvState) -> bool:
-        return any(
-            name.base == secret_base
-            and name.uid is not None
-            and node.knowledge.can_derive(name)
-            for name in node.system.private
-        )
-
-    def expand(node: EnvState) -> list[_SpyStep]:
-        steps = []
-        for transition in successors(node.system):
-            known = node.knowledge
-            if is_prefix(spy_loc, transition.action.receiver):
-                known = known.adding(transition.action.value)
-            steps.append(_SpyStep(transition, EnvState(transition.target, known)))
-        return steps
-
-    start = EnvState(system, Knowledge.from_terms(()))
-    graph = Graph(initial=start.key())
-    with canonical.separate_unfolds():  # keyed on raw knowledge
-        found = _bfs(graph, expand, EnvState.key, budget, resolve_control(control),
-                     initial=start, goal=leaks, family="search")
-    if found is None:
-        return None
-    trace = [step.transition for step in graph.trace_to(found)]
+    system: System, trace: Sequence[Transition], secret_base: str, spy: str
+) -> Witness:
+    """A secrecy leak: a run from ``system`` along which the spy's own
+    knowledge derives a secret spelled ``secret_base``."""
     return Witness(
         kind="secrecy",
         prop={"secret": secret_base, "spy": spy},

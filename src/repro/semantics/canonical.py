@@ -51,8 +51,7 @@ the exploration loops; see :func:`metrics_snapshot` /
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from repro.core.addresses import RelativeAddress, location_str
 from repro.core.intern import InternTable
@@ -81,6 +80,7 @@ from repro.core.terms import (
     Succ,
     Var,
     Zero,
+    names_of,
 )
 from repro.syntax.pretty import canonical_process
 
@@ -105,14 +105,10 @@ _enabled: bool = True
 #: depend on modules that import this one.
 _symmetry: bool = os.environ.get(REDUCTION_ENV, "").strip().lower() != "none"
 
-#: May a replication unfold reuse the copy its site produced before
-#: (:func:`repro.semantics.transitions._unfold`)?  Off inside
-#: :func:`separate_unfolds`.
-_share_unfolds: bool = True
-
 _table = InternTable()
 _keys: dict[int, str] = {}  # id(interned root) -> canonical key
 _sym_keys: dict[tuple, str] = {}  # (id(root), roles) -> symmetric key
+_knowledge_keys: dict[tuple, str] = {}  # (id(root), roles, atoms) -> knowledge key
 
 #: Hooks run by :func:`clear_caches` so sibling modules whose memos key
 #: on interned-node identity (e.g. the batched-normalize memo in
@@ -166,36 +162,6 @@ def set_symmetry_enabled(enabled: bool) -> bool:
     return previous
 
 
-def unfolds_shared() -> bool:
-    """Does each replication site unfold to one memoized copy?
-
-    True with the cache on, outside :func:`separate_unfolds`.
-    """
-    return _enabled and _share_unfolds
-
-
-@contextmanager
-def separate_unfolds() -> Iterator[None]:
-    """Run a block in which every replication unfold freshens anew.
-
-    Sharing one copy per site gives a name created there the same uid
-    in every run that unfolds the site.  Plain explorations compare
-    states by alpha-invariant key and never notice; analyses that
-    relate raw names *across* states do: the environment semantics
-    keys states on the attacker's knowledge, and secrecy's union
-    knowledge merges what the spy heard on different branches.  They
-    run inside this block and see the uid families of the uncached
-    reference path.
-    """
-    global _share_unfolds
-    previous = _share_unfolds
-    _share_unfolds = False
-    try:
-        yield
-    finally:
-        _share_unfolds = previous
-
-
 def register_clear_hook(hook: Callable[[], None]) -> None:
     """Run ``hook`` whenever :func:`clear_caches` drops the arena.
 
@@ -216,6 +182,7 @@ def clear_caches() -> None:
     _cache.clear()
     _keys.clear()
     _sym_keys.clear()
+    _knowledge_keys.clear()
     for hook in _clear_hooks:
         hook()
 
@@ -526,18 +493,21 @@ def _render(out: list, events: list, moves: Optional[dict] = None) -> str:
             labels.extend(f"{kind}{i}" for i in range(len(labels), 2 * len(distinct)))
     for event in distinct:
         if event.__class__ is _Loc:
-            loc = event.loc
-            text = event.text
-            for n in lengths:
-                move = moves.get(loc[:n])
-                if move is not None:
-                    text = move[1] + text[move[0]:]
-                    break
-            table[event] = text
+            table[event] = _rebased(event, moves, lengths) if lengths else event.text
         else:
             number += 1
             table[event] = event.labels[number]
     return "".join(map(table.get, out, out))
+
+
+def _rebased(loc: _Loc, moves: dict, lengths) -> str:
+    """``loc``'s text rebased by :func:`_render`'s ``moves`` (prefix
+    ``lengths`` longest first)."""
+    for n in lengths:
+        move = moves.get(loc.loc[:n])
+        if move is not None:
+            return move[1] + loc.text[move[0]:]
+    return loc.text
 
 
 # ----------------------------------------------------------------------
@@ -760,18 +730,19 @@ def _sym_emit(node, old_pos: tuple, new_pos: tuple, roles: tuple, moves: dict,
     events += flat_events
 
 
-def _sym_key(node, roles: tuple, tok: _Tables) -> Optional[str]:
-    """The symmetry-canonical key of a tree (see section comment), or
-    ``None`` when no spine can be sorted: then it is the plain key."""
+def _sym_tokens(node, roles: tuple, tok: _Tables) -> Optional[tuple[list, list, dict]]:
+    """The symmetry-reordered token and event lists of a tree and their
+    location rebase (:func:`_render`'s arguments), or ``None`` when no
+    spine can be sorted: then the plain lists stand."""
     if not _sym_safe(node, tok.safe) or not _spiny(node, tok.spiny):
         return None
     moves: dict = {}
     out: list = []
     events: list = []
     _sym_emit(node, (), (), roles, moves, out, events, tok)
-    return _render(out, events, {
+    return out, events, {
         old: (len(location_str(old)) - 1, location_str(new)[:-1]) for old, new in moves.items()
-    })
+    }
 
 
 def sym_reorder_count() -> int:
@@ -798,8 +769,8 @@ def state_key(root: Process, roles: tuple = ()) -> str:
     """
     global _canonical_hits, _canonical_misses
     if not _enabled:
-        key = _sym_key(root, roles, _Tables()) if _symmetry and roles else None
-        return canonical_process(root) if key is None else key
+        tokens = _sym_tokens(root, roles, _Tables()) if _symmetry and roles else None
+        return canonical_process(root) if tokens is None else _render(*tokens)
     node = _table.process(root)
     if _symmetry and roles:
         memo_key = (id(node), roles)
@@ -808,8 +779,8 @@ def state_key(root: Process, roles: tuple = ()) -> str:
             _canonical_hits += 1
             return key
         _canonical_misses += 1
-        key = _sym_keys[memo_key] = (
-            _sym_key(node, roles, _cache) or _render(*_flatten(node, _cache))
+        key = _sym_keys[memo_key] = _render(
+            *(_sym_tokens(node, roles, _cache) or _flatten(node, _cache))
         )
         if len(_table) > MAX_INTERNED_NODES:
             clear_caches()
@@ -823,6 +794,65 @@ def state_key(root: Process, roles: tuple = ()) -> str:
     if len(_table) > MAX_INTERNED_NODES:
         clear_caches()
     return key
+
+
+def knowledge_key(root: Process, roles: tuple, atoms: frozenset) -> str:
+    """The knowledge half of the key of a state that carries knowledge,
+    beside ``state_key(root, roles)``: the attacker's ``atoms`` rendered
+    in the process key's identity numbering and session permutation.
+
+    Knowledge and process sit under one restriction, ``(nu n~)(K | P)``
+    in applied-pi terms, so one renaming of ``n~`` acts on both.  A
+    restricted name renders as its number and spelling: a process name
+    keeps its number there; a name only the knowledge holds takes the
+    next free one in the uid-free order of spelling and rebased creator
+    (unique within a state, as a site unfolds at most once along a run;
+    a tie falls back to the uid and can only cost a merge).  Memoized
+    per interned root, roles and atom set with the cache on.
+
+    Soundness: the process key is the plain key of ``s(P)``, where the
+    session permutation ``s`` (the identity without symmetry) sorts
+    ``P``'s spines, and this half renders ``s(K)`` in ``s(P)``'s
+    numbering, extended injectively.  So equal key pairs for ``(P, K)``
+    and ``(Q, L)`` mean one permutation and one spelling-preserving
+    renaming of restricted names map one state onto the other.
+    """
+    if not _enabled:
+        return _knowledge_key(root, roles, atoms, _Tables())
+    node = _table.process(root)
+    memo_key = (id(node), roles, atoms)
+    key = _knowledge_keys.get(memo_key)
+    if key is None:
+        key = _knowledge_keys[memo_key] = _knowledge_key(node, roles, atoms, _cache)
+    return key
+
+
+def _knowledge_key(node, roles: tuple, atoms: frozenset, tok: _Tables) -> str:
+    tokens = _sym_tokens(node, roles, tok) if _symmetry and roles else None
+    _out, events, moves = tokens or (*_flatten(node, tok), None)
+    numbers: dict = {}
+    for event in dict.fromkeys(events):
+        if event.__class__ is not _Loc:
+            numbers[event] = len(numbers) + 1
+    lengths = sorted({len(old) for old in moves}, reverse=True) if moves else ()
+    flats = [_flatten(_table.term(atom) if tok is _cache else atom, tok) for atom in atoms]
+    table = {
+        event: _rebased(event, moves, lengths)
+        for _, atom_events in flats for event in atom_events if event.__class__ is _Loc
+    }
+    ordered = sorted(
+        (name.base, table.get(tok.locs.get(name.creator), ""), name.uid)
+        for name in set().union(*map(names_of, atoms)) if name.uid is not None
+    )
+    free = len(numbers)
+    for base, _, uid in ordered:
+        ident = tok.ident("n", base, uid)
+        number = numbers.get(ident)
+        if number is None:
+            free += 1
+            number = free
+        table[ident] = f"n{number}:{base}"
+    return "{" + ", ".join(sorted("".join(map(table.get, out, out)) for out, _ in flats)) + "}"
 
 
 # ----------------------------------------------------------------------

@@ -198,14 +198,12 @@ def _unfold(
     """``(template, copy, created)`` for unfolding ``template`` at ``act_loc``.
 
     The copy is freshened and its restrictions are instantiated at
-    ``act_loc + (0,)``.  While :func:`canonical.unfolds_shared`, each
-    site unfolds once and every later expansion reuses its fresh
-    identities, so interleavings that reach the same state build the
-    same tree.  Otherwise (cache off, or inside
-    :func:`canonical.separate_unfolds`) every call freshens anew, as
-    the reference path does.
+    ``act_loc + (0,)``.  With the cache on, each site unfolds once and
+    every later expansion reuses its fresh identities, so interleavings
+    that reach the same state build the same tree.  With the cache off
+    every call freshens anew, as the reference path does.
     """
-    sharing = canonical.unfolds_shared()
+    sharing = canonical.arena() is not None
     if sharing:
         template = canonical.intern_process(template)
         hit = _unfold_memo.get((id(template), act_loc))
@@ -300,9 +298,8 @@ def _match_pair(
 # Both depend on nothing but their key: commitments read only the leaf
 # and its location (unfolds come from the site memo), and a match reads
 # only its two prefixes.  Both pin their keys' objects and are dropped
-# with the intern table.  They are bypassed while unfolds are not
-# shared (cache off, or inside ``canonical.separate_unfolds()``), where
-# every expansion must freshen anew.
+# with the intern table.  With the cache off the reference path runs
+# and neither is read.
 #
 # Targets are assembled in the arena: the two rewritten leaves are
 # grafted into the interned root and each new spine node comes from the
@@ -481,20 +478,14 @@ def _arena_successors(system: System, table: InternTable) -> tuple[Transition, .
     """The cached path of :func:`batched_successors` (cache enabled)."""
     root = table.process(system.root)
     root_normal = _normalize_interned(root, table) is root
-    memoize = canonical.unfolds_shared()
-    # Bypassed, the memos are replaced by dicts that live for this call
-    # only: within one state no leaf location or prefix pair repeats,
-    # so every lookup misses and everything is computed afresh.
-    leaf_memo = _leaf_memo if memoize else {}
-    redex_memo = _redex_memo if memoize else {}
     leaf_hits = leaf_misses = redex_hits = redex_misses = 0
     outputs: list[PendingAction] = []
     inputs: list[PendingAction] = []
     for loc, leaf in walk_leaves(root):
-        entry = leaf_memo.get((id(leaf), loc))
+        entry = _leaf_memo.get((id(leaf), loc))
         if entry is None:
             leaf_misses += 1
-            entry = leaf_memo[id(leaf), loc] = (leaf, *_leaf_actions(leaf, loc))
+            entry = _leaf_memo[id(leaf), loc] = (leaf, *_leaf_actions(leaf, loc))
         else:
             leaf_hits += 1
         outputs.extend(entry[1])
@@ -502,11 +493,11 @@ def _arena_successors(system: System, table: InternTable) -> tuple[Transition, .
     transitions: list[Transition] = []
     for out in outputs:
         for inp in inputs:
-            hit = redex_memo.get((id(out), id(inp)))
+            hit = _redex_memo.get((id(out), id(inp)))
             if hit is None:
                 redex_misses += 1
                 redex = _redex(out, inp, table)
-                hit = redex_memo[id(out), id(inp)] = (out, inp, redex)
+                hit = _redex_memo[id(out), id(inp)] = (out, inp, redex)
             else:
                 redex_hits += 1
             redex = hit[2]
@@ -520,8 +511,7 @@ def _arena_successors(system: System, table: InternTable) -> tuple[Transition, .
                 new_root = _normalize_interned(new_root, table)
             target = system.with_root(new_root, out.new_private | inp.new_private)
             transitions.append(Transition(action=action, target=target))
-    if memoize:
-        canonical.note_successor_memos(leaf_hits, leaf_misses, redex_hits, redex_misses)
+    canonical.note_successor_memos(leaf_hits, leaf_misses, redex_hits, redex_misses)
     return tuple(transitions)
 
 

@@ -82,7 +82,9 @@ from repro.runtime.worker import Job
 #: 2: the key's ``reduce: "full"`` axis means symmetry merging alone
 #: (under 1 it also meant partial-order reduction), so version-1 keys
 #: never match and their records are never served.
-STORE_VERSION = 2
+#: 3: env states are keyed on process and knowledge together, which
+#: moves budget-truncated frontiers, so version-2 keys never match.
+STORE_VERSION = 3
 
 #: Segment filename prefix; everything else in the directory is ignored.
 SEGMENT_PREFIX = "seg-"

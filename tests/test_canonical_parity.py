@@ -271,10 +271,10 @@ class TestVerdictParity:
         ids=["pm2-freshness", "pm2-secrecy", "otway-rees-freshness"],
     )
     def test_env_verdicts_on_replicated_protocols(self, make_verdict):
-        # Environment states are keyed on the attacker's raw knowledge,
-        # so they must see the reference path's uid families: two
-        # interleavings that unfold one replication site stay two
-        # states, and the budget truncates at the same frontier.
+        # Environment states are keyed on the process and the
+        # attacker's knowledge renamed together, so the cached path's
+        # shared unfolds and the reference path's fresh ones explore
+        # the same states and truncate at the same frontier.
         cached = env_projection(make_verdict())
         canonical.set_cache_enabled(False)
         assert env_projection(make_verdict()) == cached

@@ -527,7 +527,7 @@ class TestReduceFlag:
     )
 
     def test_modes_change_exploration_not_exit_codes(self):
-        for mode, states in (("none", 202), ("full", 142)):
+        for mode, states in (("none", 143), ("full", 88)):
             status, output = run_cli(*self.PM2, "--reduce", mode)
             assert status == 0
             assert f"over {states} states" in output, (mode, output)

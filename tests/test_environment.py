@@ -13,9 +13,14 @@ from repro.analysis.environment import (
 )
 from repro.analysis.knowledge import Knowledge
 from repro.core.processes import Channel, Input, Nil, Output, Restriction
-from repro.core.terms import Name, SharedEnc, Var, fresh_uid
-from repro.equivalence.testing import Configuration
+from repro.core.substitution import rename_names, rename_names_term
+from repro.core.terms import Name, Pair, SharedEnc, Var, fresh_uid
+from repro.equivalence.testing import Configuration, compose
+from repro.semantics import reduction
 from repro.semantics.lts import Budget
+from repro.semantics.system import System
+from repro.semantics.transitions import successors
+from repro.syntax.parser import parse_process
 
 from tests.conftest import (
     impl_challenge_response,
@@ -188,3 +193,131 @@ class TestHiddenKeys:
         initial = graph.states[graph.initial]
         assert any(n.base == "c" for n in initial.knowledge.names())
         assert not any(n.base == "KAB" for n in initial.knowledge.names())
+
+
+# ----------------------------------------------------------------------
+# The joint key: process and knowledge renamed together
+# ----------------------------------------------------------------------
+
+
+def _sessions() -> System:
+    """Two unfolded sessions of ``!((nu n)(a<n>.b<n>.c<n>.0))``, one
+    past its ``b`` step (slot 0) and one before it (slot 1)."""
+    return _step(_two_sessions(), "b", sender=(0, 0))
+
+
+def _two_sessions() -> System:
+    config = Configuration(
+        parts=(
+            ("A", parse_process("!((nu n)(a<n>.b<n>.c<n>.0))")),
+            ("B", parse_process("!(a(x).0) | !(b(y).0) | !(c(z).0)")),
+        ),
+        private=(Name("a"), Name("b"), Name("c")),
+    )
+    return _step(_step(compose(config), "a"), "a")
+
+
+def _step(system: System, channel: str, sender=None) -> System:
+    return next(
+        t.target
+        for t in successors(system)
+        if t.action.channel.base == channel and sender in (None, t.action.sender)
+    )
+
+
+def _nonce(system: System, creator) -> Name:
+    (name,) = [n for n in system.private if n.base == "n" and n.creator == creator]
+    return name
+
+
+@pytest.fixture
+def full_reduction():
+    previous = reduction.set_reduction_mode("full")
+    yield
+    reduction.set_reduction_mode(previous)
+
+
+class TestJointKey:
+    def test_consistent_uid_renaming_keeps_the_key(self):
+        system = _sessions()
+        first, second = _nonce(system, (0, 0)), _nonce(system, (0, 1, 0))
+        spare = Name("k", fresh_uid(), creator=(1,))  # known, not in the process
+        known = (first, Pair(second, spare))
+        renaming = {
+            name: Name(name.base, fresh_uid(), name.creator)
+            for name in (*system.private, spare)
+            if name.uid is not None
+        }
+        renamed = System(
+            rename_names(system.root, renaming),
+            frozenset(renaming.get(n, n) for n in system.private),
+            system.roles,
+        )
+        before = EnvState(system, Knowledge.from_terms(known))
+        after = EnvState(
+            renamed,
+            Knowledge.from_terms(rename_names_term(t, renaming) for t in known),
+        )
+        assert before.knowledge.atoms != after.knowledge.atoms
+        assert before.key() == after.key()
+
+    def test_the_other_sessions_nonce_is_another_state(self):
+        system = _sessions()
+        first, second = _nonce(system, (0, 0)), _nonce(system, (0, 1, 0))
+        one = EnvState(system, Knowledge.from_terms((first,)))
+        other = EnvState(system, Knowledge.from_terms((second,)))
+        assert one.key() != other.key()
+
+    def test_permuted_sessions_with_moved_knowledge_share_a_key(self, full_reduction):
+        system = _sessions()
+        permuted = reduction.permute_sessions(system, (0,), (1, 0))
+        by_uid = {name.uid: name for name in permuted.private}
+        first, second = _nonce(system, (0, 0)), _nonce(system, (0, 1, 0))
+        known = (first, Pair(first, second))
+        moved = tuple(
+            rename_names_term(t, {n: by_uid[n.uid] for n in (first, second)})
+            for t in known
+        )
+        assert moved != known
+        original = EnvState(system, Knowledge.from_terms(known))
+        swapped = EnvState(permuted, Knowledge.from_terms(moved))
+        assert original.key() == swapped.key()
+
+    def test_symmetric_twins_knowing_one_nonce_stay_apart(self, full_reduction):
+        # Either session may take its b step first; the two targets are
+        # symmetric twins with the same process key.  An attacker that
+        # heard slot 0's nonce knows the advanced session's nonce in one
+        # and the waiting session's in the other, which no permutation
+        # relates: the raw knowledge is equal, the keys must not be.
+        start = _two_sessions()
+        ahead = _step(start, "b", sender=(0, 0))
+        behind = _step(start, "b", sender=(0, 1, 0))
+        assert ahead.canonical_key() == behind.canonical_key()
+        known = Knowledge.from_terms((_nonce(start, (0, 0)),))
+        assert EnvState(ahead, known).key() != EnvState(behind, known).key()
+
+    def test_predicate_secret_is_not_merged_across_branches(self):
+        # The branch-merge configuration of
+        # test_canonical_parity::test_keeps_secret_does_not_merge_branches_through_one_site:
+        # the union of what the spy hears on both branches derives s, and
+        # no single run does.
+        from repro.analysis.secrecy import keeps_secret
+
+        config = Configuration(
+            parts=(
+                ("A", parse_process("(nu g)(g<one>.0 | g<two>.0 | g(y).d<y>.0)")),
+                (
+                    "R",
+                    parse_process(
+                        "!(d(x).(nu k)((nu s)([x = one] c<k>.0 | [x = two] c<{s}k>.0)))"
+                    ),
+                ),
+                ("E", parse_process("c(m).c(n).0")),
+            ),
+            private=(Name("c"), Name("d")),
+        )
+        verdict = keeps_secret(
+            config, lambda n: n.base == "s" and n.uid is not None, budget=Budget(500, 10)
+        )
+        assert verdict.holds and verdict.exhaustive
+        assert verdict.witness is None

@@ -139,7 +139,9 @@ class TestStoreKey:
     def test_version_one_keys_are_never_served(self):
         # Under store version 1 a ``reduce: "full"`` key also meant
         # partial-order reduction; now that the mode is symmetry merging
-        # alone, a record keyed that way must stay hidden.
+        # alone, a record keyed that way must stay hidden.  Under version
+        # 2 environment states were keyed on raw knowledge, so budget-
+        # truncated verdicts stopped at another frontier.
         import hashlib
 
         from repro.semantics import reduction
@@ -147,18 +149,19 @@ class TestStoreKey:
         job = _job()
         previous = reduction.set_reduction_mode("full")
         try:
-            material = {
-                "v": 1,
-                "engine": engine_version(),
-                "kind": job.kind,
-                "system": system_signature(job.target),
-                "budget": budget_signature(job),
-            }
-            assert material["budget"]["reduce"] == "full"
-            version_one = hashlib.sha256(
-                json.dumps(material, sort_keys=True, separators=(",", ":")).encode()
-            ).hexdigest()
-            assert store_key(job) != version_one
+            for version in (1, 2):
+                material = {
+                    "v": version,
+                    "engine": engine_version(),
+                    "kind": job.kind,
+                    "system": system_signature(job.target),
+                    "budget": budget_signature(job),
+                }
+                assert material["budget"]["reduce"] == "full"
+                old_key = hashlib.sha256(
+                    json.dumps(material, sort_keys=True, separators=(",", ":")).encode()
+                ).hexdigest()
+                assert store_key(job) != old_key, version
         finally:
             reduction.set_reduction_mode(previous)
 

@@ -5,7 +5,7 @@ the state cache on :func:`repro.semantics.transitions.batched_successors`
 reuses every other leaf's enabled prefixes (the leaf memo) and every
 other output/input pair's outcome (the redex memo).  These tests check
 that a child state recomputes only what its step rewrote, that the
-memos stay untouched wherever unfolds must freshen anew, that they are
+memos stay untouched with the cache off, that they are
 dropped with the intern table, and that on the replicated zoo the memo
 path yields exactly the transitions of a computation from empty memos.
 """
@@ -142,19 +142,6 @@ class TestBypass:
         before = memo_counts()
         graph = explore(replicated("otway-rees"), Budget(2_000, 3))
         assert graph.transition_count() > 0
-        assert delta(before) == (0, 0, 0, 0)
-
-    def test_separate_unfolds_never_touches_the_memos(self, monkeypatch):
-        system = replicated("woo-lam")
-        shared = [key for _, key in projection(batched_successors(system))]
-        monkeypatch.setattr(transitions, "_leaf_memo", _Untouchable())
-        monkeypatch.setattr(transitions, "_redex_memo", _Untouchable())
-        before = memo_counts()
-        with canonical.separate_unfolds():
-            separate = [key for _, key in projection(batched_successors(system))]
-            graph = explore(system, Budget(2_000, 3))
-        assert graph.transition_count() > 0
-        assert separate == shared
         assert delta(before) == (0, 0, 0, 0)
 
     def test_clear_caches_drops_both_memos(self):

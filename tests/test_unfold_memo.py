@@ -9,11 +9,13 @@ once along any run.  These tests check the consequence on the explored
 spaces — one creator per fresh identity — and the memo's contract
 directly.
 
-Analyses that relate raw names across states (the environment
-semantics, secrecy's union knowledge) run inside
-:func:`repro.semantics.canonical.separate_unfolds`, where every unfold
-freshens anew; ``tests/test_canonical_parity.py`` checks that their
-verdicts match the uncached path.
+Analyses that relate names across states share the memo too: the
+environment semantics keys its states on the process and the
+attacker's knowledge together
+(:func:`repro.semantics.canonical.knowledge_key`), and secrecy's union
+knowledge only filters before a single-run search confirms a leak.
+``tests/test_canonical_parity.py`` checks that their verdicts match the
+uncached path, where every unfold freshens anew.
 """
 
 from __future__ import annotations
@@ -134,30 +136,6 @@ class TestUnfoldContract:
         (second,) = commitments(template, (0,), (0,))
         assert first.payload.uid != second.payload.uid
         assert first.payload.creator == second.payload.creator == (0, 0)
-
-    def test_separate_unfolds_freshens_every_time(self):
-        template = canonical.intern_process(fresh_template())
-        (shared,) = commitments(template, (0,), (0,))
-        with canonical.separate_unfolds():
-            assert not canonical.unfolds_shared()
-            (first,) = commitments(template, (0,), (0,))
-            (second,) = commitments(template, (0,), (0,))
-        assert canonical.unfolds_shared()
-        uids = {shared.payload.uid, first.payload.uid, second.payload.uid}
-        assert len(uids) == 3
-
-    def test_shared_unfold_returns_after_separate_unfolds(self):
-        # Successors computed inside separate_unfolds carry fresh names,
-        # and leaving the block brings the shared copy's names back.
-        system = instantiate(
-            Parallel(fresh_template(), Replication(Input(Channel(a), Var("x"), Nil())))
-        )
-        shared = successors(system)[0].action.value
-        with canonical.separate_unfolds():
-            separate = successors(system)[0].action.value
-        assert separate.uid != shared.uid
-        assert successors(system)[0].action.value is shared
-        assert separate.uid != shared.uid
 
     def test_memo_is_dropped_with_the_intern_table(self):
         (before,) = commitments(fresh_template(), (0,), (0,))
